@@ -1,9 +1,7 @@
 package congruent
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"apgas/internal/core"
 	"apgas/internal/x10rt"
@@ -16,10 +14,12 @@ import (
 // and execute at the destination without consuming a worker slot.
 //
 // When the transport has a one-sided lane (chan and TCP meshes), the
-// operations travel as (arena, offset, raw bytes) frames that the
-// transport lands directly in the destination fragment — no active
-// message, no gob, no allocation on the data path. Otherwise they fall
-// back to AtDirect closures, the pre-codec model.
+// operations name (arena, offset) and the transport lands them directly
+// in the destination fragment — no active message, no gob, no
+// allocation on the data path. Payloads stay typed in process and are
+// encoded to raw little-endian bytes only on a wire to another
+// endpoint. Otherwise the operations fall back to AtDirect closures,
+// the pre-codec model.
 
 // getRequestBytes models the wire size of a get request descriptor on the
 // active-message fallback path: arena handle, offset, element count and
@@ -169,35 +169,25 @@ func RemoteAdd(c *core.Ctx, arr *Array[uint64], p core.Place, idx int, val uint6
 }
 
 // XorUpdate is one element of a GUPS batch.
-type XorUpdate struct {
-	Idx int
-	Val uint64
-}
+type XorUpdate = x10rt.XorUpdate
 
 // RemoteXorBatch applies a batch of XOR updates at place p with a single
 // message — the look-ahead batching HPCC RandomAccess permits (up to 1024
-// outstanding updates). Termination is tracked by the enclosing finish.
+// outstanding updates). Termination is tracked by the enclosing finish;
+// updates may be reused as soon as the call returns. An index outside
+// the fragment surfaces as the finish's error when the batch lands.
 func RemoteXorBatch(c *core.Ctx, arr *Array[uint64], p core.Place, updates []XorUpdate) {
 	if len(updates) == 0 {
 		return
 	}
 	if arr.oneSided() {
-		// 12-byte wire records: uint32 index, uint64 value.
-		data := make([]byte, 0, len(updates)*12)
-		for _, u := range updates {
-			if u.Idx < 0 || uint64(u.Idx) > math.MaxUint32 {
-				panic(fmt.Sprintf("congruent: xor batch index %d outside wire range", u.Idx))
-			}
-			data = binary.LittleEndian.AppendUint32(data, uint32(u.Idx))
-			data = binary.LittleEndian.AppendUint64(data, u.Val)
+		// The batch rides the lane as pooled typed records; only a wire
+		// transport encodes them.
+		op, err := x10rt.NewXorBatchOp(arr.arenaID, updates)
+		if err != nil {
+			panic(fmt.Sprintf("congruent: %v", err))
 		}
-		c.OneSidedSend(p, &x10rt.OneSidedOp{
-			Kind:  x10rt.OneSidedXorBatch,
-			Arena: arr.arenaID,
-			Elems: len(updates),
-			Data:  data,
-			Bytes: len(data),
-		})
+		c.OneSidedSend(p, op)
 		return
 	}
 	batch := make([]XorUpdate, len(updates))

@@ -280,28 +280,32 @@ func (rt *Runtime) finEvent(fin finRef, pl *place, kind finEventKind, other Plac
 	if !fin.valid() {
 		panic("core: activity has no governing finish")
 	}
-	delivered := rt.dispatchFinEvent(fin, pl, kind, other, err, ctx)
 	// Conservation accounting: every governed activity is counted exactly
 	// once as spawned (at its spawn site) and once as completed (at its
-	// termination site). evRemoteBegin is the same activity as the
+	// termination site). A termination is counted before it is
+	// dispatched, because its dispatch may release the finish, and an
+	// oracle reading the counts once the finish returns must see it;
+	// terminations raised at a live place always count. Spawn-kind
+	// events cannot release a finish, and the activity they authorize
+	// starts only after finEvent returns, so they count after dispatch,
+	// and only when delivered (an undelivered spawn event means no
+	// activity ever runs). evRemoteBegin is the same activity as the
 	// matching evRemoteSpawn and is deliberately not counted globally; it
 	// is what begins the activity at its executing place, so it is what
-	// the per-place begun counter tracks. Spawn-kind events count only
-	// when delivered (an undelivered spawn event means no activity ever
-	// runs); terminations raised at a live place always count.
-	switch kind {
-	case evLocalSpawn, evRemoteSpawn:
-		if delivered {
+	// the per-place begun counter tracks.
+	if kind == evTerminate && !rt.PlaceDead(pl.id) {
+		rt.acts[fin.Pattern].completed.Add(1)
+		rt.placeActs[pl.id].completed.Add(1)
+	}
+	delivered := rt.dispatchFinEvent(fin, pl, kind, other, err, ctx)
+	if delivered {
+		switch kind {
+		case evLocalSpawn, evRemoteSpawn:
 			rt.acts[fin.Pattern].spawned.Add(1)
 		}
-	case evTerminate:
-		if delivered || !rt.PlaceDead(pl.id) {
-			rt.acts[fin.Pattern].completed.Add(1)
-			rt.placeActs[pl.id].completed.Add(1)
+		if kind == evLocalSpawn || kind == evRemoteBegin {
+			rt.placeActs[pl.id].begun.Add(1)
 		}
-	}
-	if delivered && (kind == evLocalSpawn || kind == evRemoteBegin) {
-		rt.placeActs[pl.id].begun.Add(1)
 	}
 	return delivered
 }

@@ -61,11 +61,88 @@ func acceptDeathErr(t *testing.T, trial int, what string, err error) {
 	}
 }
 
+// victimDescent runs a property tree while recording, per place,
+// whether an activity descended from the victim — spawned by an
+// activity running there, or by one of that activity's descendants —
+// was sent to it. The mark is set before the spawn, so it precedes
+// the child's begun count.
+type victimDescent struct {
+	victim Place
+	sent   []atomic.Bool
+}
+
+func newVictimDescent(victim Place, places int) *victimDescent {
+	return &victimDescent{victim: victim, sent: make([]atomic.Bool, places)}
+}
+
+// exec is execPropTree with provenance: fromVictim says whether the
+// running activity descends from the victim.
+func (vd *victimDescent) exec(c *Ctx, n *propNode, count *atomic.Int64, fromVictim bool) {
+	count.Add(1)
+	fromVictim = fromVictim || c.Place() == vd.victim
+	for _, ch := range n.children {
+		ch := ch
+		if fromVictim {
+			vd.sent[ch.place].Store(true)
+		}
+		if ch.place == int(c.Place()) {
+			c.Async(func(cc *Ctx) { vd.exec(cc, ch, count, fromVictim) })
+		} else {
+			c.AtAsync(Place(ch.place), func(cc *Ctx) { vd.exec(cc, ch, count, fromVictim) })
+		}
+	}
+}
+
+// awaitVictimDescendants waits, at each surviving place late names,
+// until its activity ledger balances and its scheduler is idle. A
+// finish that forgave the victim's credit can release while activities
+// the victim spawned toward a survivor, and their descendants, still
+// run there (defaultRoot.checkLocked): those places' ledgers are only
+// complete once such activities end. Places late does not name are not
+// waited for, so an early release of live-to-live activities still
+// shows up as an unbalanced ledger.
+func awaitVictimDescendants(t *testing.T, rt *Runtime, late func(Place) bool) {
+	t.Helper()
+	settled := func() bool {
+		for _, pc := range rt.PlaceActivityCounts() {
+			if !late(pc.Place) || rt.PlaceDead(pc.Place) {
+				continue
+			}
+			sp, co := rt.places[pc.Place].sched.Stats()
+			if !pc.Balanced() || sp != co {
+				return false
+			}
+		}
+		return true
+	}
+	// A descendant may still sit in a mailbox, so a place counts as
+	// settled only across a transport drain.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		settleTransport(rt)
+		if settled() {
+			settleTransport(rt)
+			if settled() {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			return // the checks below report what never balanced
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
 // checkQuiescedSurvivors is checkQuiesced restricted to the live part
 // of the runtime: state on or about dead places is the adoption
-// protocol's to forget, not a leak.
-func checkQuiescedSurvivors(t *testing.T, rt *Runtime) {
+// protocol's to forget, not a leak. late, if not nil, names the
+// survivors that hosted descendants of a victim whose death touched
+// the finish; their ledgers are read once those activities end.
+func checkQuiescedSurvivors(t *testing.T, rt *Runtime, late func(Place) bool) {
 	t.Helper()
+	if late != nil {
+		awaitVictimDescendants(t, rt, late)
+	}
 	settleTransport(rt)
 	dead := make(map[Place]bool)
 	for _, p := range rt.DeadPlaces() {
@@ -121,10 +198,11 @@ func TestPropResilientVectorTrees(t *testing.T) {
 				var n atomic.Int64
 				killed := killAtCount(rt, victim, &n, killAt)
 
+				vd := newVictimDescent(victim, places)
 				var ferr error
 				runErr := rt.Run(func(ctx *Ctx) {
 					ferr = ctx.FinishPragma(pattern, func(c *Ctx) {
-						execPropTree(c, root, &n)
+						vd.exec(c, root, &n, false)
 					})
 				})
 				<-killed
@@ -139,7 +217,11 @@ func TestPropResilientVectorTrees(t *testing.T) {
 					t.Errorf("trial %d: only %d activities completed before the kill threshold %d",
 						trial, got, killAt)
 				}
-				checkQuiescedSurvivors(t, rt)
+				// A finish the death did not touch tracked every
+				// activity, so its survivors' ledgers are read at once.
+				checkQuiescedSurvivors(t, rt, func(p Place) bool {
+					return ferr != nil && vd.sent[p].Load()
+				})
 			}
 		})
 	}
@@ -200,6 +282,6 @@ func TestPropResilientSPMD(t *testing.T) {
 		if got := n.Load(); got > want {
 			t.Errorf("trial %d: completed %d activities, oracle caps at %d", trial, got, want)
 		}
-		checkQuiescedSurvivors(t, rt)
+		checkQuiescedSurvivors(t, rt, nil)
 	}
 }

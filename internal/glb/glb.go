@@ -122,6 +122,9 @@ type Balancer struct {
 	// and the adoption rounds in Run).
 	orphanMu sync.Mutex
 	orphans  []TaskBag
+	// reapMu serializes placeDeath, so a caller that finds a place
+	// already marked dead knows its reap has finished.
+	reapMu sync.Mutex
 
 	// observability (nil handles when the runtime has no obs layer)
 	tr *obs.Tracer
@@ -389,6 +392,14 @@ func (b *Balancer) runPhase(ctx *core.Ctx, pattern core.Pattern, adopt []TaskBag
 // taken exactly once. The state lock serializes the bag hand-off against
 // a dead worker's final quantum.
 func (b *Balancer) drainOrphans() []TaskBag {
+	// A death can release the phase's finish before the runtime notifies
+	// its subscribers, so reap every place the runtime reports dead here
+	// rather than rely on the notification having run.
+	for p := range b.states {
+		if b.rt.PlaceDead(core.Place(p)) {
+			b.placeDeath(core.Place(p))
+		}
+	}
 	b.orphanMu.Lock()
 	orphans := b.orphans
 	b.orphans = nil
@@ -420,11 +431,13 @@ func (b *Balancer) firstLive() core.Place {
 // told to exit, survivors' lifeline edges are rewired around it, and loot
 // parcels stranded on severed links — shipped but provably never merged —
 // are queued for conservative re-execution. Registered with the runtime's
-// death notifier in New.
+// death notifier in New, and called again by drainOrphans; idempotent.
 func (b *Balancer) placeDeath(v core.Place) {
 	if int(v) >= len(b.states) {
 		return
 	}
+	b.reapMu.Lock()
+	defer b.reapMu.Unlock()
 	vs := b.states[v]
 	vs.mu.Lock()
 	if vs.dead {

@@ -150,7 +150,6 @@ func (w *Watchdog) sample(now time.Time) {
 		pending := s.Live != 0 || len(s.Deficits) > 0
 		if s.Waiting && !s.Done && pending && !tr.dumped && now.Sub(tr.since) >= w.opts.Window {
 			tr.dumped = true
-			w.stalls++
 			stalled = append(stalled, s)
 		}
 	}
@@ -162,6 +161,11 @@ func (w *Watchdog) sample(now time.Time) {
 	w.mu.Unlock()
 	for _, s := range stalled {
 		w.dump(s, now)
+		// Counted once written, so a reader that sees the count sees
+		// the whole dump.
+		w.mu.Lock()
+		w.stalls++
+		w.mu.Unlock()
 	}
 }
 

@@ -81,11 +81,14 @@ type chanMsg struct {
 }
 
 // chanEndpoint is one place's receive side: an unbounded FIFO mailbox
-// drained by a dedicated dispatcher goroutine.
+// drained by a dedicated dispatcher goroutine. queue[head:] is pending;
+// the dispatcher pops by advancing head, so the slice's capacity is
+// reused instead of regrown.
 type chanEndpoint struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []chanMsg
+	head    int
 	closed  bool
 	dead    bool   // place killed: queued and future messages are discarded
 	seq     uint64 // next delivery slot
@@ -203,7 +206,8 @@ func (t *ChanTransport) Send(src, dst int, id HandlerID, payload any, bytes int,
 // FIFO, never reordered) but is landed by the arena table on the
 // dispatcher — no handler, no serialization. op.Local is the caller's
 // typed slice, not a copy: like real RDMA, a put's source buffer must
-// stay stable until the enclosing finish completes.
+// stay stable until the enclosing finish completes. A pooled XorBatch
+// op is released by the dispatcher once it has landed.
 func (t *ChanTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 	if src < 0 || src >= t.opts.Places || dst < 0 || dst >= t.opts.Places {
 		return fmt.Errorf("%w: src=%d dst=%d n=%d", ErrBadPlace, src, dst, t.opts.Places)
@@ -214,8 +218,11 @@ func (t *ChanTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 	if t.arenas.Load() == nil {
 		return fmt.Errorf("x10rt: one-sided send with no arena table attached")
 	}
+	// Read everything needed from op before it is enqueued: from then on
+	// the dispatcher owns it and may land and release it at any moment.
 	wire := OneSidedWireBytes(src, op)
-	m := chanMsg{src: src, id: HandlerOneSided, bytes: op.Bytes, class: DataClass, os: op}
+	bytes := op.Bytes
+	m := chanMsg{src: src, id: HandlerOneSided, bytes: bytes, class: DataClass, os: op}
 	if t.opts.Latency != nil {
 		if d := t.opts.Latency(src, dst, wire, DataClass); d > 0 {
 			m.due = time.Now().Add(d)
@@ -240,14 +247,14 @@ func (t *ChanTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 	ep.seq++
 	ep.enqueueLocked(m)
 	ep.mu.Unlock()
-	t.ctrs.add(DataClass, op.Bytes)
-	t.perPlace[src].add(DataClass, op.Bytes)
+	t.ctrs.add(DataClass, bytes)
+	t.perPlace[src].add(DataClass, bytes)
 	// The modeled wire cost is the exact v5 frame length, so ledger
 	// one-sided rows stay sum-equal with x10rt.bytes.wire.
 	t.ctrs.addWire(wire)
 	t.perPlace[src].addWire(wire)
 	if lg := t.lg.Load(); lg != nil {
-		lg.RecordSend(src, dst, HandlerOneSided, op.Bytes)
+		lg.RecordSend(src, dst, HandlerOneSided, bytes)
 		lg.RecordWire(src, dst, wire)
 	}
 	return nil
@@ -256,12 +263,22 @@ func (t *ChanTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 // AttachArenas implements OneSidedSink.
 func (t *ChanTransport) AttachArenas(at *ArenaTable) { t.arenas.Store(at) }
 
-// enqueueLocked inserts m keeping the queue sorted by slot (stable FIFO when
-// no reordering is injected, since slots are then strictly increasing).
+// enqueueLocked inserts m keeping the pending queue sorted by slot (stable
+// FIFO when no reordering is injected, since slots are then strictly
+// increasing). A full slice whose popped prefix is at least half of it
+// first slides its pending tail to the front; otherwise append grows it.
+// Each slide so frees at least as many slots as it moves, which keeps a
+// standing backlog at constant amortized cost per message.
 func (ep *chanEndpoint) enqueueLocked(m chanMsg) {
 	q := ep.queue
+	if len(q) == cap(q) && ep.head > 0 && ep.head >= len(q)/2 {
+		n := copy(q, q[ep.head:])
+		clear(q[n:])
+		q = q[:n]
+		ep.head = 0
+	}
 	i := len(q)
-	for i > 0 && q[i-1].slot > m.slot {
+	for i > ep.head && q[i-1].slot > m.slot {
 		i--
 	}
 	q = append(q, chanMsg{})
@@ -271,18 +288,34 @@ func (ep *chanEndpoint) enqueueLocked(m chanMsg) {
 	ep.cond.Signal()
 }
 
+// popLocked removes and returns the front pending message; the queue
+// must not be empty. An emptied queue rewinds to the slice's start.
+func (ep *chanEndpoint) popLocked() chanMsg {
+	m := ep.queue[ep.head]
+	ep.queue[ep.head] = chanMsg{}
+	ep.head++
+	if ep.head == len(ep.queue) {
+		ep.queue, ep.head = ep.queue[:0], 0
+	}
+	return m
+}
+
 func (t *ChanTransport) dispatch(place int, ep *chanEndpoint) {
+	// reply ships a landing Get's response back to its requester,
+	// replyTo. Landing calls it synchronously, so one closure serves
+	// every op and a landing allocates nothing here.
+	var replyTo int
+	reply := func(rep *OneSidedOp) error { return t.SendOneSided(place, replyTo, rep) }
 	for {
 		ep.mu.Lock()
-		for len(ep.queue) == 0 && !ep.closed {
+		for ep.head == len(ep.queue) && !ep.closed {
 			ep.cond.Wait()
 		}
-		if ep.closed && len(ep.queue) == 0 {
+		if ep.closed && ep.head == len(ep.queue) {
 			ep.mu.Unlock()
 			return
 		}
-		m := ep.queue[0]
-		ep.queue = ep.queue[1:]
+		m := ep.popLocked()
 		dead := ep.dead
 		ep.mu.Unlock()
 
@@ -296,9 +329,8 @@ func (t *ChanTransport) dispatch(place int, ep *chanEndpoint) {
 				if lg := t.lg.Load(); lg != nil {
 					lg.RecordRecv(place, HandlerOneSided, 0)
 				}
-				err := at.Land(m.src, place, m.os, func(rep *OneSidedOp) error {
-					return t.SendOneSided(place, m.src, rep)
-				})
+				replyTo = m.src
+				err := at.Land(m.src, place, m.os, reply)
 				var pde *PlaceDeadError
 				if err != nil && !errors.As(err, &pde) {
 					// In-process one-sided ops come from this process's
@@ -308,6 +340,7 @@ func (t *ChanTransport) dispatch(place int, ep *chanEndpoint) {
 					panic(fmt.Sprintf("x10rt: one-sided land at place %d: %v", place, err))
 				}
 			}
+			m.os.release()
 		} else if h, ok := t.handlers.lookup(m.id); ok && !dead {
 			if lg := t.lg.Load(); lg != nil {
 				// In-process delivery has no deserialization cost.
@@ -352,8 +385,8 @@ func (t *ChanTransport) KillPlace(p int) error {
 	ep := t.places[p]
 	ep.mu.Lock()
 	ep.dead = true
-	dropped := len(ep.queue)
-	ep.queue = nil
+	dropped := len(ep.queue) - ep.head
+	ep.queue, ep.head = nil, 0
 	ep.mu.Unlock()
 	if dropped > 0 {
 		// The dispatcher would have decremented pending once per handled

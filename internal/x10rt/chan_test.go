@@ -327,3 +327,43 @@ func TestChanDeliveryIsExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChanMailboxStandingBacklog holds a backlog of n messages while
+// the dispatcher pops about as fast as senders push, and counts the
+// pending messages enqueue slides to the slice's front. The mailbox
+// starts sized to the backlog, as ChanOptions.MailboxHint sizes it, so
+// it is full from the first cycle on. Slides must
+// stay at constant amortized cost per message, and the slice must not
+// grow without bound.
+func TestChanMailboxStandingBacklog(t *testing.T) {
+	const n, cycles = 1000, 100000
+	ep := &chanEndpoint{queue: make([]chanMsg, 0, n)}
+	ep.cond = sync.NewCond(&ep.mu)
+	var slot uint64
+	moved := 0
+	push := func() {
+		len0, head0 := len(ep.queue), ep.head
+		ep.enqueueLocked(chanMsg{slot: slot})
+		slot++
+		if head0 > 0 && ep.head == 0 {
+			moved += len0 - head0
+		}
+	}
+	for i := 0; i < n; i++ {
+		push()
+	}
+	next := uint64(0)
+	for c := 0; c < cycles; c++ {
+		if m := ep.popLocked(); m.slot != next {
+			t.Fatalf("cycle %d: popped slot %d, want %d", c, m.slot, next)
+		}
+		next++
+		push()
+	}
+	if per := float64(moved) / cycles; per > 2 {
+		t.Errorf("enqueue slid %.1f pending messages per message, want <= 2", per)
+	}
+	if c := cap(ep.queue); c > 4*n {
+		t.Errorf("mailbox capacity %d for a backlog of %d", c, n)
+	}
+}

@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -51,7 +54,7 @@ const (
 	OneSidedXor
 	// OneSidedAdd atomically adds val to element off.
 	OneSidedAdd
-	// OneSidedXorBatch applies elems packed (index, val) xor records.
+	// OneSidedXorBatch applies elems (index, val) xor records.
 	OneSidedXorBatch
 	numOneSidedKinds
 )
@@ -73,22 +76,94 @@ func (k OneSidedKind) String() string {
 	}
 }
 
-// oneSidedRecordBytes is one XorBatch record: uint32 index, uint64 val,
-// both little-endian.
+// oneSidedRecordBytes is one XorBatch wire record: uint32 index,
+// uint64 val, both little-endian.
 const oneSidedRecordBytes = 12
+
+// XorUpdate is one record of a XorBatch op: xor Val into element Idx.
+type XorUpdate struct {
+	Idx int
+	Val uint64
+}
+
+// xorBatch is the pooled body of a XorBatch op: the op itself, its
+// typed records, and the wire appender over them, built once per pool
+// entry so a steady stream of batches allocates nothing.
+type xorBatch struct {
+	op   OneSidedOp
+	recs []XorUpdate
+	raw  func(dst []byte) []byte
+}
+
+var xorBatchPool = sync.Pool{New: func() any {
+	b := new(xorBatch)
+	b.raw = func(dst []byte) []byte {
+		for _, u := range b.recs {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(u.Idx))
+			dst = binary.LittleEndian.AppendUint64(dst, u.Val)
+		}
+		return dst
+	}
+	return b
+}}
+
+// NewXorBatchOp returns a XorBatch op against arena carrying a pooled
+// copy of updates, so the caller may reuse updates at once. The records
+// stay typed in process; only a wire transport encodes them (through
+// op.Raw). The transport owns the op from SendOneSided on and releases
+// it exactly once, when done with it: after landing it in process, after
+// writing it to a connection. Indexes outside the 4-byte wire range are
+// rejected here, so every transport accepts the same batches.
+func NewXorBatchOp(arena uint64, updates []XorUpdate) (*OneSidedOp, error) {
+	b := xorBatchPool.Get().(*xorBatch)
+	b.recs = append(b.recs[:0], updates...)
+	// Check the copy, which the append just left in cache; the OR of
+	// the indexes, read unsigned, exceeds the wire range iff one of
+	// them does (a negative index sets the high bits).
+	var or uint64
+	for _, u := range b.recs {
+		or |= uint64(u.Idx)
+	}
+	if or > math.MaxUint32 {
+		i := slices.IndexFunc(b.recs, func(u XorUpdate) bool { return uint64(u.Idx) > math.MaxUint32 })
+		err := fmt.Errorf("x10rt: xor batch index %d outside wire range", b.recs[i].Idx)
+		xorBatchPool.Put(b)
+		return nil, err
+	}
+	b.op = OneSidedOp{
+		Kind:  OneSidedXorBatch,
+		Arena: arena,
+		Elems: len(updates),
+		Local: b,
+		Raw:   b.raw,
+		Bytes: len(updates) * oneSidedRecordBytes,
+	}
+	return &b.op, nil
+}
+
+// release hands a pooled op back once the transport is done with it;
+// other ops are left to the garbage collector.
+func (op *OneSidedOp) release() {
+	if b, ok := op.Local.(*xorBatch); ok {
+		op.Local = nil
+		xorBatchPool.Put(b)
+	}
+}
 
 // OneSidedOp is one one-sided operation in flight. The sender fills the
 // targeting fields plus exactly one data representation:
 //
-//   - Local: a typed slice (same element type as the arena) for
-//     in-process transports — landed by the arena's PutLocal without
-//     serialization. For Put over the lane this is the *caller's*
-//     slice, not a copy: like real RDMA, the source buffer must stay
-//     stable until the enclosing finish completes.
-//   - Data: raw little-endian bytes (wire transports, XorBatch).
+//   - Local: the typed payload for in-process delivery, landed without
+//     serialization. For Put it is a typed slice (same element type as
+//     the arena), landed by PutLocal — the *caller's* slice, not a copy:
+//     like real RDMA, the source buffer must stay stable until the
+//     enclosing finish completes. For XorBatch it is the pooled typed
+//     records NewXorBatchOp made.
+//   - Data: raw little-endian bytes — a byte-slice Put, or what a wire
+//     transport read off the connection.
 //   - Raw: an appender producing the little-endian encoding on demand —
-//     wire transports call it to serialize a typed slice straight into
-//     the outgoing frame staging buffer.
+//     only a wire transport calls it, to serialize the typed payload
+//     straight into the outgoing frame staging buffer.
 type OneSidedOp struct {
 	Kind  OneSidedKind
 	Arena uint64
@@ -97,7 +172,7 @@ type OneSidedOp struct {
 	Elems int
 	// Val is the Xor/Add operand.
 	Val uint64
-	// Data is the raw little-endian payload (Put/XorBatch).
+	// Data is the raw little-endian payload (Put/XorBatch wire form).
 	Data []byte
 	// Local is the typed payload for in-process delivery.
 	Local any
@@ -134,8 +209,8 @@ type OneSidedSink interface {
 
 // OneSidedHook intercepts every landing op (the core runtime's finish
 // accounting). reply ships a response op from dst back toward src —
-// only Get uses it. The hook is responsible for calling
-// ArenaTable.Apply.
+// only Get uses it, and only before the hook returns. The hook is
+// responsible for calling ArenaTable.Apply.
 type OneSidedHook func(src, dst int, op *OneSidedOp, reply func(*OneSidedOp) error) error
 
 // Arena is one registered memory window. The closures are built by the
@@ -156,10 +231,14 @@ type Arena struct {
 	// ReadOp snapshots [off, off+elems), returning the typed slice and
 	// a little-endian appender over the same snapshot (Get replies).
 	ReadOp func(off, elems int) (local any, raw func(dst []byte) []byte)
-	// Xor and Add are atomic read-modify-writes on element idx —
-	// multiple transport readers may land concurrently.
-	Xor func(idx int, val uint64)
-	Add func(idx int, val uint64)
+	// Xor and Add are read-modify-writes on element idx, and XorBatch
+	// lands the typed records of a whole XorBatch, returning an error at
+	// the first index outside the window. Each is atomic with respect to
+	// the others and to PutLE: several transport readers may land in one
+	// window concurrently.
+	Xor      func(idx int, val uint64)
+	Add      func(idx int, val uint64)
+	XorBatch func(recs []XorUpdate) error
 	// Transient arenas unregister after the first Put lands: Get-reply
 	// windows live for exactly one response.
 	Transient bool
@@ -308,23 +387,30 @@ func (at *ArenaTable) Apply(src, dst int, op *OneSidedOp, reply func(*OneSidedOp
 		f(op.Off, op.Val)
 		return nil
 	case OneSidedXorBatch:
-		if a.Xor == nil {
+		if a.XorBatch == nil {
 			return fmt.Errorf("x10rt: arena %d has no xor", op.Arena)
+		}
+		if b, ok := op.Local.(*xorBatch); ok {
+			return a.XorBatch(b.recs)
 		}
 		if op.Elems < 0 || len(op.Data) != op.Elems*oneSidedRecordBytes {
 			return fmt.Errorf("%w: xorbatch data %d bytes for %d records",
 				ErrFrameCorrupt, len(op.Data), op.Elems)
 		}
-		for r := 0; r < op.Elems; r++ {
-			rec := op.Data[r*oneSidedRecordBytes:]
-			idx := int(binary.LittleEndian.Uint32(rec))
-			if idx >= a.Elems {
-				return fmt.Errorf("%w: xorbatch index %d outside arena of %d elems",
-					ErrFrameCorrupt, idx, a.Elems)
+		// Wire records read off a connection decode into a pooled
+		// batch, so an arena only ever lands typed records.
+		b := xorBatchPool.Get().(*xorBatch)
+		b.recs = slices.Grow(b.recs[:0], op.Elems)[:op.Elems]
+		for i := range b.recs {
+			rec := op.Data[i*oneSidedRecordBytes : (i+1)*oneSidedRecordBytes]
+			b.recs[i] = XorUpdate{
+				Idx: int(binary.LittleEndian.Uint32(rec)),
+				Val: binary.LittleEndian.Uint64(rec[4:]),
 			}
-			a.Xor(idx, binary.LittleEndian.Uint64(rec[4:]))
 		}
-		return nil
+		err := a.XorBatch(b.recs)
+		xorBatchPool.Put(b)
+		return err
 	default:
 		return fmt.Errorf("%w: one-sided kind %d", ErrFrameCorrupt, op.Kind)
 	}
@@ -402,15 +488,32 @@ func appendOneSidedHeader(dst []byte, src int, op *OneSidedOp, dataLen int) ([]b
 	return dst, nil
 }
 
-// OneSidedWireBytes is the exact v5 frame length op occupies. Channel
-// transports use it as the modeled wire cost so ledger one-sided rows
-// stay sum-equal with x10rt.bytes.wire.
+// OneSidedWireBytes is the exact v5 frame length op occupies —
+// len(appendOneSidedHeader(...)) plus the data section, counted without
+// encoding anything. Channel transports use it as the modeled wire cost
+// so ledger one-sided rows stay sum-equal with x10rt.bytes.wire.
 func OneSidedWireBytes(src int, op *OneSidedOp) int {
-	head, err := appendOneSidedHeader(nil, src, op, oneSidedDataLen(op))
-	if err != nil {
+	if op.Kind == 0 || op.Kind >= numOneSidedKinds {
 		return 0
 	}
-	return len(head) + oneSidedDataLen(op)
+	dataLen := oneSidedDataLen(op)
+	n := 1 + uvarintLen(uint64(src)) + uvarintLen(op.Arena) + uvarintLen(uint64(op.Off)) +
+		uvarintLen(uint64(op.Elems)) + len(op.Token)*8 + uvarintLen(uint64(dataLen)) + dataLen
+	switch op.Kind {
+	case OneSidedXor, OneSidedAdd:
+		n += 8
+	case OneSidedGet:
+		n += uvarintLen(op.ReplyArena)
+	}
+	if n > MaxFrameSize {
+		return 0
+	}
+	return frameHeaderSize + n
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	return (bits.Len64(x|1) + 6) / 7
 }
 
 // oneSidedByteReader is what the streaming parser needs: bufio.Reader

@@ -624,8 +624,10 @@ func (t *TCPTransport) readOneSided(br *bufio.Reader, payloadLen int) error {
 // SendOneSided implements OneSidedSender: op travels as one v5 frame
 // whose data section is scatter-gathered straight from the caller's
 // buffer (writev) — no staging copy, no handler dispatch at the far
-// end. Ordering with Send on the same link is preserved: both serialize
-// through the same connection write lock.
+// end. Typed payloads (op.Raw) are encoded here, the only place a wire
+// exists; a self-directed op lands typed without encoding. Ordering
+// with Send on the same link is preserved: both serialize through the
+// same connection write lock.
 func (t *TCPTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 	if src != t.opts.Place {
 		return fmt.Errorf("%w: send from %d on endpoint %d", ErrBadPlace, src, t.opts.Place)
@@ -654,10 +656,15 @@ func (t *TCPTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 		}
 		// Landing synchronously is safe here: one-sided ops never run
 		// user handlers, so Send's reentrancy rule does not apply.
-		return at.Land(src, dst, op, func(rep *OneSidedOp) error {
+		err := at.Land(src, dst, op, func(rep *OneSidedOp) error {
 			return t.SendOneSided(dst, src, rep)
 		})
+		op.release()
+		return err
 	}
+	// Past this point only the wire form travels: a pooled XorBatch op
+	// goes back to its pool once its frame is written.
+	defer op.release()
 	var data []byte
 	if op.Data != nil {
 		data = op.Data

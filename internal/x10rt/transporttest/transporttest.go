@@ -16,6 +16,8 @@ package transporttest
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -582,6 +584,7 @@ func TestTransportOneSided(t *testing.T, factory Factory) {
 	t.Run("PutOrderedVsActiveMessages", func(t *testing.T) { testOneSidedPutOrdering(t, factory) })
 	t.Run("GetRoundTrip", func(t *testing.T) { testOneSidedGet(t, factory) })
 	t.Run("RemoteAtomics", func(t *testing.T) { testOneSidedAtomics(t, factory) })
+	t.Run("XorBatchTypedAndWire", func(t *testing.T) { testOneSidedXorBatchForms(t, factory) })
 	t.Run("DeathFailFast", func(t *testing.T) { testOneSidedDeath(t, factory) })
 }
 
@@ -621,22 +624,38 @@ func byteArena(at *x10rt.ArenaTable, p int, id uint64, win []byte) {
 	})
 }
 
-// u64Arena registers a []uint64 window with atomic xor/add for place p.
-func u64Arena(at *x10rt.ArenaTable, p int, id uint64, win []uint64) {
+// u64Window is a []uint64 arena window whose landings all run under
+// one mutex, the congruent heap's discipline: several transport readers
+// may land in it at once, and the suite reads it through load while they
+// do.
+type u64Window struct {
+	mu  sync.Mutex
+	win []uint64
+}
+
+func (w *u64Window) load(i int) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.win[i]
+}
+
+func (w *u64Window) snapshot() []uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]uint64(nil), w.win...)
+}
+
+// u64Arena registers win as a []uint64 window for place p, with the
+// read and update closures the suite drives.
+func u64Arena(at *x10rt.ArenaTable, p int, id uint64, win []uint64) *u64Window {
+	w := &u64Window{win: win}
 	at.Register(p, id, &x10rt.Arena{
 		Elems:    len(win),
 		ElemSize: 8,
-		PutLocal: func(off int, local any) { copy(win[off:], local.([]uint64)) },
-		PutLE: func(off, elems int, data []byte) {
-			for i := 0; i < elems; i++ {
-				atomic.StoreUint64(&win[off+i], leU64(data[i*8:]))
-			}
-		},
 		ReadOp: func(off, elems int) (any, func([]byte) []byte) {
-			snap := make([]uint64, elems)
-			for i := range snap {
-				snap[i] = atomic.LoadUint64(&win[off+i])
-			}
+			w.mu.Lock()
+			snap := append([]uint64(nil), win[off:off+elems]...)
+			w.mu.Unlock()
 			return snap, func(dst []byte) []byte {
 				for _, v := range snap {
 					dst = appendU64(dst, v)
@@ -645,15 +664,28 @@ func u64Arena(at *x10rt.ArenaTable, p int, id uint64, win []uint64) {
 			}
 		},
 		Xor: func(idx int, val uint64) {
-			for {
-				old := atomic.LoadUint64(&win[idx])
-				if atomic.CompareAndSwapUint64(&win[idx], old, old^val) {
-					return
-				}
-			}
+			w.mu.Lock()
+			win[idx] ^= val
+			w.mu.Unlock()
 		},
-		Add: func(idx int, val uint64) { atomic.AddUint64(&win[idx], val) },
+		Add: func(idx int, val uint64) {
+			w.mu.Lock()
+			win[idx] += val
+			w.mu.Unlock()
+		},
+		XorBatch: func(recs []x10rt.XorUpdate) error {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			for _, u := range recs {
+				if uint(u.Idx) >= uint(len(win)) {
+					return fmt.Errorf("xorbatch index %d outside window", u.Idx)
+				}
+				win[u.Idx] ^= u.Val
+			}
+			return nil
+		},
 	})
+	return w
 }
 
 func leU64(b []byte) uint64 {
@@ -766,8 +798,12 @@ func testOneSidedGet(t *testing.T, factory Factory) {
 func testOneSidedAtomics(t *testing.T, factory Factory) {
 	const places, perSender = 3, 100
 	m, at := oneSidedMesh(t, factory, places)
-	win := make([]uint64, 4)
-	u64Arena(at, 1, 1, win)
+	w := u64Arena(at, 1, 1, make([]uint64, 4))
+	// A flag behind each sender's last op marks its landings complete.
+	var flags atomic.Int64
+	if err := m.Register(oneSidedHandler, func(src, dst int, payload any) { flags.Add(1) }); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
 
 	var wg sync.WaitGroup
 	for _, sender := range []int{0, 2} {
@@ -804,19 +840,80 @@ func testOneSidedAtomics(t *testing.T, factory Factory) {
 			}); err != nil {
 				t.Errorf("xorbatch from %d: %v", s, err)
 			}
+			if err := m.Endpoint(s).Send(s, 1, oneSidedHandler, Payload{}, 8, x10rt.DataClass); err != nil {
+				t.Errorf("flag from %d: %v", s, err)
+			}
 		}(sender)
 	}
 	wg.Wait()
 	flushAll(m)
-	await(t, "adds accumulated", func() bool {
+	await(t, "flags behind every sender's ops", func() bool {
 		flushAll(m)
-		return atomic.LoadUint64(&win[0]) == 2*perSender
+		return flags.Load() == 2
 	})
-	if v := atomic.LoadUint64(&win[1]); v != 0 {
+	if v := w.load(0); v != 2*perSender {
+		t.Errorf("adds accumulated %d, want %d", v, 2*perSender)
+	}
+	if v := w.load(1); v != 0 {
 		t.Errorf("paired xors left %#x, want 0", v)
 	}
-	if v := atomic.LoadUint64(&win[2]); v != 0 {
+	if v := w.load(2); v != 0 {
 		t.Errorf("xorbatch double-toggle left %#x, want 0", v)
+	}
+}
+
+// testOneSidedXorBatchForms sends the same pooled XorBatch ops over a
+// self link, where every transport lands them typed (TCP-to-self
+// included), and over a remote link, where chan lands them typed and
+// TCP as 12-byte wire records that the receiver's arena table decodes
+// back into typed records. Both windows must end up equal to the
+// table computed locally. A flag message behind each link's last batch
+// marks the landings complete.
+func testOneSidedXorBatchForms(t *testing.T, factory Factory) {
+	const places, elems, batches, perBatch = 2, 512, 16, 256
+	m, at := oneSidedMesh(t, factory, places)
+	self := u64Arena(at, 1, 1, make([]uint64, elems))
+	remote := u64Arena(at, 1, 2, make([]uint64, elems))
+	var flags atomic.Int64
+	if err := m.Register(oneSidedHandler, func(src, dst int, payload any) { flags.Add(1) }); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+
+	legs := []struct {
+		src   int
+		arena uint64
+	}{{1, 1}, {0, 2}}
+	want := make([]uint64, elems)
+	ups := make([]x10rt.XorUpdate, perBatch)
+	x := uint64(0x9e3779b97f4a7c15)
+	for b := 0; b < batches; b++ {
+		for i := range ups {
+			x = x*6364136223846793005 + 1442695040888963407
+			ups[i] = x10rt.XorUpdate{Idx: int(x>>33) % elems, Val: x}
+			want[ups[i].Idx] ^= x
+		}
+		for _, leg := range legs {
+			op, err := x10rt.NewXorBatchOp(leg.arena, ups)
+			if err != nil {
+				t.Fatalf("NewXorBatchOp: %v", err)
+			}
+			if err := m.Endpoint(leg.src).(x10rt.OneSidedSender).SendOneSided(leg.src, 1, op); err != nil {
+				t.Fatalf("SendOneSided(%d->1, batch %d): %v", leg.src, b, err)
+			}
+		}
+	}
+	for _, leg := range legs {
+		if err := m.Endpoint(leg.src).Send(leg.src, 1, oneSidedHandler, Payload{}, 8, x10rt.DataClass); err != nil {
+			t.Fatalf("Send(flag from %d): %v", leg.src, err)
+		}
+	}
+	flushAll(m)
+	await(t, "flags behind the batches", func() bool { flushAll(m); return flags.Load() == int64(len(legs)) })
+	if got := self.snapshot(); !slices.Equal(got, want) {
+		t.Errorf("self-landed (typed) table differs from the local table")
+	}
+	if got := remote.snapshot(); !slices.Equal(got, want) {
+		t.Errorf("remote-landed table differs from the local table")
 	}
 }
 
@@ -828,8 +925,7 @@ func testOneSidedDeath(t *testing.T, factory Factory) {
 	for p := 0; p < places; p++ {
 		u64Arena(at, p, 1, make([]uint64, 4))
 	}
-	surWin := make([]uint64, 4)
-	u64Arena(at, 2, 2, surWin)
+	sur := u64Arena(at, 2, 2, make([]uint64, 4))
 
 	killAll(t, m, victim)
 
@@ -858,6 +954,6 @@ func testOneSidedDeath(t *testing.T, factory Factory) {
 	flushAll(m)
 	await(t, "survivor landing", func() bool {
 		flushAll(m)
-		return atomic.LoadUint64(&surWin[0]) == 7
+		return sur.load(0) == 7
 	})
 }
