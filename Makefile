@@ -2,19 +2,27 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke profile-smoke trace dtrace telemetry wire chaos chaos-kill litmus fuzz-short experiments examples clean
+.PHONY: all build test race contract bench bench-smoke profile-smoke trace dtrace telemetry wire chaos chaos-kill litmus fuzz-short experiments examples clean
 
-all: build test race telemetry wire chaos chaos-kill litmus dtrace bench-smoke profile-smoke fuzz-short
+all: build test race contract telemetry wire chaos chaos-kill litmus dtrace bench-smoke profile-smoke fuzz-short
 
+# perfbench is a nested module that `./...` skips; vetting it here
+# catches x10rt API changes that would break the benchmark build.
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
+
+# The x10rt Transport contract: the conformance, death and one-sided
+# batteries against every transport and decorator stack, under -race.
+contract:
+	$(GO) test -race ./internal/x10rt/transporttest
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -143,10 +143,9 @@ func runTelemetry(opts telemetryOptions) error {
 	// the on-the-wire total (post-batch, post-compression) must also be
 	// exactly the sum of the per-place egress.
 	total := tr.Stats()
-	pms := tr.(x10rt.PlaceMetricSource)
 	var sum x10rt.Stats
 	for q := 0; q < places; q++ {
-		ps := pms.PlaceStats(q)
+		ps := tr.PlaceStats(q)
 		for i := range sum.Messages {
 			sum.Messages[i] += ps.Messages[i]
 			sum.Bytes[i] += ps.Bytes[i]

@@ -30,7 +30,7 @@ func sharedEndpoints(tr x10rt.Transport, n int) []x10rt.Transport {
 	router := &chanRouter{tr: tr, eps: make([]*routedEndpoint, n)}
 	out := make([]x10rt.Transport, n)
 	for i := 0; i < n; i++ {
-		ep := &routedEndpoint{router: router, me: i, handlers: map[x10rt.HandlerID]x10rt.Handler{}}
+		ep := &routedEndpoint{Transport: tr, router: router, me: i, handlers: map[x10rt.HandlerID]x10rt.Handler{}}
 		router.eps[i] = ep
 		out[i] = ep
 	}
@@ -47,14 +47,15 @@ type chanRouter struct {
 	err      error
 }
 
+// routedEndpoint is one place's view: Register and Close are its own,
+// everything else is the shared transport's.
 type routedEndpoint struct {
+	x10rt.Transport
 	router   *chanRouter
 	me       int
 	mu       sync.Mutex
 	handlers map[x10rt.HandlerID]x10rt.Handler
 }
-
-func (e *routedEndpoint) NumPlaces() int { return len(e.router.eps) }
 
 func (e *routedEndpoint) Register(id x10rt.HandlerID, h x10rt.Handler) error {
 	e.mu.Lock()
@@ -80,12 +81,7 @@ func (e *routedEndpoint) Register(id x10rt.HandlerID, h x10rt.Handler) error {
 	return e.router.err
 }
 
-func (e *routedEndpoint) Send(src, dst int, id x10rt.HandlerID, payload any, bytes int, class x10rt.Class) error {
-	return e.router.tr.Send(src, dst, id, payload, bytes, class)
-}
-
-func (e *routedEndpoint) Stats() x10rt.Stats { return e.router.tr.Stats() }
-func (e *routedEndpoint) Close() error       { return nil }
+func (e *routedEndpoint) Close() error { return nil }
 
 // newTCPCluster builds n amrt runtimes over a real loopback TCP mesh.
 func newTCPCluster(t *testing.T, n int) []*Runtime {

@@ -28,13 +28,11 @@ package chaos
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"apgas/internal/obs"
 	"apgas/internal/x10rt"
 )
 
@@ -120,8 +118,7 @@ type Options struct {
 	SlowPlace   int
 	SlowLatency time.Duration
 
-	// Kill enables the place-death fault. Requires an inner transport
-	// implementing x10rt.PlaceKiller (the kill is a no-op otherwise).
+	// Kill enables the place-death fault.
 	Kill *KillPlan
 
 	// Hold enables schedule-permutation mode.
@@ -186,13 +183,25 @@ type link struct {
 }
 
 // Transport wraps an inner x10rt.Transport with deterministic fault
-// injection. Handlers are registered on the inner transport unchanged;
-// only Send is intercepted. The wrapper passes traffic accounting
-// through, so the telemetry plane's sum-equality invariant (Stats ==
-// Σ PlaceStats) holds across it: dropped messages are counted nowhere,
-// duplicated messages twice — consistently on both sides.
+// injection. It embeds the inner transport and intercepts only Send,
+// KillPlace and Close. Everything else passes through unchanged:
+//
+//   - Handlers are registered on the inner transport.
+//   - Traffic accounting is the inner transport's, so the telemetry
+//     plane's sum-equality invariant (Stats == Σ PlaceStats) holds
+//     across the wrapper: dropped messages are counted nowhere,
+//     duplicated messages twice, consistently on both sides.
+//   - An attached wire ledger observes what the inner transport
+//     actually carries, so held messages are attributed only once
+//     forwarded, and attribution never influences a fault decision.
+//   - One-sided ops are never faulted and never consume a link
+//     fault-stream sequence number, so adding one-sided traffic keeps
+//     the fault decisions for active messages byte-identical.
+//   - Flush reaches a batching layer below the wrapper but does not
+//     release chaos's own holdbacks: a flush hint must not heal
+//     injected faults.
 type Transport struct {
-	inner x10rt.Transport
+	x10rt.Transport
 	opts  Options
 	n     int
 	clock VirtualClock
@@ -227,14 +236,14 @@ func Wrap(inner x10rt.Transport, opts Options) *Transport {
 	opts = opts.withDefaults()
 	n := inner.NumPlaces()
 	t := &Transport{
-		inner: inner,
-		opts:  opts,
-		n:     n,
-		start: time.Now(),
-		grace: 5 * opts.FlushEvery,
-		links: make([]link, n*n),
-		inCut: make([]bool, n),
-		stop:  make(chan struct{}),
+		Transport: inner,
+		opts:      opts,
+		n:         n,
+		start:     time.Now(),
+		grace:     5 * opts.FlushEvery,
+		links:     make([]link, n*n),
+		inCut:     make([]bool, n),
+		stop:      make(chan struct{}),
 	}
 	if t.grace < 5*time.Millisecond {
 		t.grace = 5 * time.Millisecond
@@ -260,76 +269,6 @@ func (t *Transport) FaultLog() *Log { return &t.log }
 // FaultCounts returns decision counts per fault kind.
 func (t *Transport) FaultCounts() map[string]uint64 { return t.log.Counts() }
 
-// Inner returns the wrapped transport.
-func (t *Transport) Inner() x10rt.Transport { return t.inner }
-
-// NumPlaces implements x10rt.Transport.
-func (t *Transport) NumPlaces() int { return t.n }
-
-// Register implements x10rt.Transport; handlers live on the inner
-// transport and run on its dispatchers.
-func (t *Transport) Register(id x10rt.HandlerID, h x10rt.Handler) error {
-	return t.inner.Register(id, h)
-}
-
-// Stats implements x10rt.Transport (inner passthrough).
-func (t *Transport) Stats() x10rt.Stats { return t.inner.Stats() }
-
-// AttachMetrics implements x10rt.MetricSource when the inner transport
-// does; otherwise it is a no-op.
-func (t *Transport) AttachMetrics(r *obs.Registry) {
-	if ms, ok := t.inner.(x10rt.MetricSource); ok {
-		ms.AttachMetrics(r)
-	}
-}
-
-// PlaceStats implements x10rt.PlaceMetricSource when the inner
-// transport does; otherwise it reports zero.
-func (t *Transport) PlaceStats(p int) x10rt.Stats {
-	if ps, ok := t.inner.(x10rt.PlaceMetricSource); ok {
-		return ps.PlaceStats(p)
-	}
-	return x10rt.Stats{}
-}
-
-// AttachPlaceMetrics implements x10rt.PlaceMetricSource passthrough.
-func (t *Transport) AttachPlaceMetrics(p int, r *obs.Registry) {
-	if ps, ok := t.inner.(x10rt.PlaceMetricSource); ok {
-		ps.AttachPlaceMetrics(p, r)
-	}
-}
-
-// AttachWireLedger implements x10rt.LedgerSink passthrough: the ledger
-// observes what the inner transport actually carries, so dropped or
-// held messages are (correctly) not attributed until forwarded, and
-// attribution never influences a fault decision — replays stay
-// byte-identical with the ledger attached.
-func (t *Transport) AttachWireLedger(lg *x10rt.WireLedger) {
-	if ls, ok := t.inner.(x10rt.LedgerSink); ok {
-		ls.AttachWireLedger(lg)
-	}
-}
-
-// SendOneSided implements x10rt.OneSidedSender passthrough. One-sided
-// ops are never faulted and — critically for replay — never consume a
-// link fault-stream sequence number: a run with one-sided traffic added
-// keeps byte-identical fault decisions for its active messages, exactly
-// like attaching a ledger.
-func (t *Transport) SendOneSided(src, dst int, op *x10rt.OneSidedOp) error {
-	os, ok := t.inner.(x10rt.OneSidedSender)
-	if !ok {
-		return fmt.Errorf("chaos: inner transport has no one-sided lane")
-	}
-	return os.SendOneSided(src, dst, op)
-}
-
-// AttachArenas implements x10rt.OneSidedSink passthrough.
-func (t *Transport) AttachArenas(at *x10rt.ArenaTable) {
-	if s, ok := t.inner.(x10rt.OneSidedSink); ok {
-		s.AttachArenas(at)
-	}
-}
-
 // eligible reports whether a message may be faulted at all.
 func (t *Transport) eligible(src, dst int, id x10rt.HandlerID, class x10rt.Class) bool {
 	if id == x10rt.HandlerTelemetry {
@@ -349,12 +288,12 @@ func (t *Transport) eligible(src, dst int, id x10rt.HandlerID, class x10rt.Class
 // queue), so the reentrancy invariant of ChanTransport is preserved.
 func (t *Transport) Send(src, dst int, id x10rt.HandlerID, payload any, bytes int, class x10rt.Class) error {
 	if src < 0 || src >= t.n || dst < 0 || dst >= t.n || !t.eligible(src, dst, id, class) {
-		return t.inner.Send(src, dst, id, payload, bytes, class)
+		return t.Transport.Send(src, dst, id, payload, bytes, class)
 	}
 	if t.frozen.Load() {
 		// Post-kill: injection is frozen (see KillPlan). The inner
 		// transport fails sends to the dead place fast on its own.
-		return t.inner.Send(src, dst, id, payload, bytes, class)
+		return t.Transport.Send(src, dst, id, payload, bytes, class)
 	}
 	t.clock.Tick()
 	now := time.Now()
@@ -372,9 +311,7 @@ func (t *Transport) Send(src, dst int, id x10rt.HandlerID, payload any, bytes in
 		t.log.add(faultRecord{src: src, dst: dst, linkSeq: k, kind: FaultKill, id: int(id), param: int64(kp.Victim)})
 		ls.mu.Unlock()
 		t.frozen.Store(true)
-		if pk, ok := t.inner.(x10rt.PlaceKiller); ok {
-			_ = pk.KillPlace(kp.Victim)
-		}
+		_ = t.Transport.KillPlace(kp.Victim)
 		return nil
 	}
 
@@ -519,7 +456,7 @@ func (t *Transport) releaseDueLocked(ls *link, now time.Time) error {
 
 // forward hands a message to the inner transport.
 func (t *Transport) forward(m heldMsg) error {
-	return t.inner.Send(m.src, m.dst, m.id, m.payload, m.bytes, m.class)
+	return t.Transport.Send(m.src, m.dst, m.id, m.payload, m.bytes, m.class)
 }
 
 // flusher is the liveness loop: it periodically delivers holdbacks
@@ -612,7 +549,7 @@ func (t *Transport) DroppedCount() int {
 func (t *Transport) Drain() {
 	for i := 0; i < 64; i++ {
 		moved := t.flush(true)
-		if q, ok := t.inner.(interface{ Quiesce() }); ok {
+		if q, ok := t.Transport.(interface{ Quiesce() }); ok {
 			q.Quiesce()
 		}
 		if moved == 0 && t.flush(true) == 0 {
@@ -625,44 +562,12 @@ func (t *Transport) Drain() {
 // chaos-wrapped transport the same way.
 func (t *Transport) Quiesce() { t.Drain() }
 
-// Flush forwards to the inner transport when it buffers sends
-// (x10rt.Flusher), so the runtime's protocol flush points reach a
-// batching layer below the chaos wrapper. Chaos's own holdbacks are
-// deliberately NOT flushed here: a flush hint must not heal injected
-// faults.
-func (t *Transport) Flush(src int) error {
-	if f, ok := t.inner.(x10rt.Flusher); ok {
-		return f.Flush(src)
-	}
-	return nil
-}
-
-// KillPlace implements x10rt.PlaceKiller by delegating to the inner
+// KillPlace implements x10rt.Transport by delegating to the inner
 // transport. Like a plan-triggered kill, an explicit kill freezes fault
 // injection so the fault log stays deterministic.
 func (t *Transport) KillPlace(p int) error {
-	pk, ok := t.inner.(x10rt.PlaceKiller)
-	if !ok {
-		return fmt.Errorf("chaos: inner transport %T does not support KillPlace", t.inner)
-	}
 	t.frozen.Store(true)
-	return pk.KillPlace(p)
-}
-
-// PlaceDead implements x10rt.PlaceKiller passthrough.
-func (t *Transport) PlaceDead(p int) bool {
-	if pk, ok := t.inner.(x10rt.PlaceKiller); ok {
-		return pk.PlaceDead(p)
-	}
-	return false
-}
-
-// NotifyDeath implements x10rt.DeathNotifier passthrough, so a runtime
-// stacked on a chaos wrapper still learns of place deaths.
-func (t *Transport) NotifyDeath(fn func(dead, observer int)) {
-	if dn, ok := t.inner.(x10rt.DeathNotifier); ok {
-		dn.NotifyDeath(fn)
-	}
+	return t.Transport.KillPlace(p)
 }
 
 // Close implements x10rt.Transport: it stops the flusher and closes
@@ -672,5 +577,5 @@ func (t *Transport) Close() error {
 		close(t.stop)
 		t.flushWG.Wait()
 	})
-	return t.inner.Close()
+	return t.Transport.Close()
 }

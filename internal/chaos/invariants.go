@@ -83,21 +83,11 @@ func CheckRuntime(rt *core.Runtime) []Violation {
 
 // CheckTransport verifies the telemetry sum-equality invariant from
 // the per-place accounting contract: total Stats must equal the sum of
-// PlaceStats over all places, message- and byte-exact per class. Chaos
-// wrappers are unwrapped first; transports without per-place
-// accounting are vacuously fine.
+// PlaceStats over all places, message- and byte-exact per class.
 func CheckTransport(tr x10rt.Transport) []Violation {
-	n := tr.NumPlaces()
-	if c, ok := tr.(*Transport); ok {
-		tr = c.Inner()
-	}
-	ps, ok := tr.(x10rt.PlaceMetricSource)
-	if !ok {
-		return nil
-	}
 	var sum x10rt.Stats
-	for p := 0; p < n; p++ {
-		s := ps.PlaceStats(p)
+	for p := 0; p < tr.NumPlaces(); p++ {
+		s := tr.PlaceStats(p)
 		for i := range sum.Messages {
 			sum.Messages[i] += s.Messages[i]
 			sum.Bytes[i] += s.Bytes[i]

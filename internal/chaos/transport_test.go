@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -256,5 +257,67 @@ func TestTelemetryNeverFaulted(t *testing.T) {
 	}
 	if len(ct.FaultCounts()) != 0 {
 		t.Fatalf("telemetry traffic logged faults: %v", ct.FaultCounts())
+	}
+}
+
+// TestBatchedMessagesFaultedOneByOne pins that a BatchingTransport over
+// a chaos wrapper hands the wrapper one Send per message: a coalesced
+// batch must not reach the inner transport in one call that skips the
+// per-message fault decisions. Each message has its own handler id, so
+// the Filter's call log shows both the decisions and their order.
+func TestBatchedMessagesFaultedOneByOne(t *testing.T) {
+	const msgs = 8
+	inner, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var decided []x10rt.HandlerID
+	ct := Wrap(inner, Options{Seed: 1, Filter: func(src, dst int, id x10rt.HandlerID, class x10rt.Class) bool {
+		mu.Lock()
+		decided = append(decided, id)
+		mu.Unlock()
+		return true
+	}})
+	// A long MaxDelay keeps the background flusher out: after the first
+	// (idle) send, the rest queue until the explicit Flush.
+	bt := x10rt.NewBatchingTransport(ct, x10rt.BatchOptions{MaxDelay: time.Hour, MaxFrames: 2 * msgs})
+	defer bt.Close()
+	var delivered atomic.Int64
+	for i := 0; i < msgs; i++ {
+		if err := bt.Register(x10rt.UserHandlerBase+x10rt.HandlerID(i), func(int, int, any) { delivered.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < msgs; i++ {
+		if err := bt.Send(0, 1, x10rt.UserHandlerBase+x10rt.HandlerID(i), i, 8, x10rt.DataClass); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if err := bt.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	if batches, carried := bt.BatchStats(); batches != 2 || carried != msgs {
+		t.Fatalf("batching forwarded %d batches carrying %d messages, want 2 carrying %d", batches, carried, msgs)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for delivered.Load() != msgs && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := delivered.Load(); got != msgs {
+		t.Fatalf("delivered %d messages, want %d", got, msgs)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(decided) != msgs {
+		t.Fatalf("%d fault decisions for %d messages", len(decided), msgs)
+	}
+	for i, id := range decided {
+		if want := x10rt.UserHandlerBase + x10rt.HandlerID(i); id != want {
+			t.Fatalf("decision %d was for handler %d, want %d (send order)", i, id, want)
+		}
+	}
+	if seq := ct.links[0*ct.n+1].seq; seq != msgs {
+		t.Errorf("link 0->1 consumed %d fault-stream sequence numbers, want %d", seq, msgs)
 	}
 }

@@ -179,5 +179,5 @@ func appendWireLE[T any](dst []byte, src []T) []byte {
 // oneSided reports whether arr's RDMA operations may use the transport's
 // one-sided lane from the calling side.
 func (arr *Array[T]) oneSided() bool {
-	return arr.arenaID != 0 && !arr.localOnly && arr.alloc.rt.OneSidedEnabled()
+	return arr.arenaID != 0 && !arr.localOnly
 }

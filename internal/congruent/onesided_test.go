@@ -16,13 +16,9 @@ import (
 
 // TestOneSidedLaneActive pins the wiring: on the default (chan) runtime
 // the wire-encodable element types take the one-sided path, []int does
-// not (no canonical wire width), and the runtime reports the lane.
+// not (no canonical wire width).
 func TestOneSidedLaneActive(t *testing.T) {
-	rt := newRT(t, 2)
-	if !rt.OneSidedEnabled() {
-		t.Fatal("chan runtime has no one-sided lane")
-	}
-	a := NewAllocator(rt)
+	a := NewAllocator(newRT(t, 2))
 	u, _ := NewArray[uint64](a, 8)
 	b, _ := NewArray[byte](a, 8)
 	f, _ := NewArray[float64](a, 8)

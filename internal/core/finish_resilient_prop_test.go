@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"apgas/internal/x10rt"
 )
 
 // Property-based tests for resilient finish: the same randomized
@@ -30,13 +28,12 @@ import (
 // kill has been issued.
 func killAtCount(rt *Runtime, victim Place, n *atomic.Int64, threshold int64) chan struct{} {
 	done := make(chan struct{})
-	pk := rt.Transport().(x10rt.PlaceKiller)
 	go func() {
 		defer close(done)
 		for n.Load() < threshold {
 			time.Sleep(20 * time.Microsecond)
 		}
-		_ = pk.KillPlace(int(victim))
+		_ = rt.Transport().KillPlace(int(victim))
 	}()
 	return done
 }

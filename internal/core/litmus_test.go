@@ -49,9 +49,7 @@ func (m *litmusMesh) flush() {
 	for p := 0; p < m.places; p++ {
 		if tr := m.ep(p); !seen[tr] {
 			seen[tr] = true
-			if f, ok := tr.(x10rt.Flusher); ok {
-				_ = f.Flush(-1)
-			}
+			_ = tr.Flush(-1)
 		}
 	}
 }

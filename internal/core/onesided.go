@@ -52,9 +52,6 @@ func unpackFinToken(tok [4]uint64) (fin finRef, local bool) {
 // ReplyArena must name a registered arena at the calling place.
 func (c *Ctx) OneSidedSend(p Place, op *x10rt.OneSidedOp) {
 	rt := c.rt
-	if rt.osSender == nil {
-		panic("core: transport has no one-sided lane (check OneSidedEnabled)")
-	}
 	fin := c.fin
 	bytes := op.Bytes
 	if m := rt.m; m != nil {
@@ -81,7 +78,7 @@ func (c *Ctx) OneSidedSend(p Place, op *x10rt.OneSidedOp) {
 			return // governing finish orphaned by a place death
 		}
 		op.Token = packFinToken(fin, true)
-		if err := rt.osSender.SendOneSided(int(c.pl.id), int(p), op); err != nil {
+		if err := rt.tr.SendOneSided(int(c.pl.id), int(p), op); err != nil {
 			if !errors.Is(err, x10rt.ErrPlaceDead) {
 				panicSendFailure(c.pl.id, p, err)
 			}
@@ -97,7 +94,7 @@ func (c *Ctx) OneSidedSend(p Place, op *x10rt.OneSidedOp) {
 		return // governing finish orphaned by a place death
 	}
 	op.Token = packFinToken(fin, false)
-	if err := rt.osSender.SendOneSided(int(c.pl.id), int(p), op); err != nil {
+	if err := rt.tr.SendOneSided(int(c.pl.id), int(p), op); err != nil {
 		if !errors.Is(err, x10rt.ErrPlaceDead) {
 			panicSendFailure(c.pl.id, p, err)
 		}

@@ -14,7 +14,7 @@ import (
 // 5) makes the finish protocols survive place death instead of wedging
 // the global termination wave. The design here:
 //
-//   - The transport reports death (x10rt.DeathNotifier) and the runtime
+//   - The transport reports death (Transport.NotifyDeath) and the runtime
 //     funnels every report into PlaceDeath, which is idempotent.
 //   - Each finish root keeps per-place credit provenance (the counter
 //     patterns an outstanding-tokens-per-place map, the vector patterns
@@ -129,7 +129,7 @@ func (rt *Runtime) NotifyPlaceDeath(fn func(Place)) {
 }
 
 // PlaceDeath processes the death of place p: idempotent, callable from
-// any goroutine (the transport's DeathNotifier fires it once per
+// any goroutine (the transport's NotifyDeath callback fires once per
 // surviving place; the first call wins). It
 //
 //  1. force-fires finish roots homed at p with ErrPlaceDead, so their

@@ -91,11 +91,11 @@ type Config struct {
 
 	// WireLedger enables message-level cost attribution: a
 	// x10rt.WireLedger is created over the observability layer's
-	// per-place registries and attached to the transport (when it
-	// implements x10rt.LedgerSink), accounting every send/receive by
-	// (handler, src→dst link) with serialization timings. Off by
-	// default: with it off, every transport record site costs one nil
-	// check. Requires an observability layer (Obs or obs.Global()).
+	// per-place registries and attached to the transport, accounting
+	// every send/receive by (handler, src→dst link) with serialization
+	// timings. Off by default: with it off, every transport record site
+	// costs one nil check. Requires an observability layer (Obs or
+	// obs.Global()).
 	WireLedger bool
 }
 
@@ -119,7 +119,6 @@ func (c *Config) applyDefaults() error {
 type Runtime struct {
 	cfg       Config
 	tr        x10rt.Transport
-	flusher   x10rt.Flusher // tr's flush hook, nil when tr does not batch
 	ownsTr    bool
 	places    []*place
 	locals    *localRegistry
@@ -142,10 +141,8 @@ type Runtime struct {
 	ledger *x10rt.WireLedger
 
 	// arenas is the process-wide one-sided window registry (congruent
-	// fragments register here). Always created; osSender is non-nil only
-	// when the transport has a one-sided lane (see onesided.go).
-	arenas   *x10rt.ArenaTable
-	osSender x10rt.OneSidedSender
+	// fragments register here; see onesided.go).
+	arenas *x10rt.ArenaTable
 
 	// acts tracks, per finish pattern, the cumulative number of governed
 	// activities spawned and completed anywhere in the computation. The
@@ -246,34 +243,27 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		rt.tr = tr
 		rt.ownsTr = true
 	}
-	rt.flusher, _ = rt.tr.(x10rt.Flusher)
-	if ts, ok := rt.tr.(x10rt.TracerSink); ok && rt.tracer != nil {
+	if rt.tracer != nil {
 		// Serializing transports stamp batch frames with the sender's
 		// HLC once distributed tracing is enabled on this tracer.
-		ts.AttachTracer(rt.tracer)
+		rt.tr.AttachTracer(rt.tracer)
 	}
 	if rt.obs != nil {
-		if ms, ok := rt.tr.(x10rt.MetricSource); ok {
-			ms.AttachMetrics(rt.obs.Metrics)
-		}
+		rt.tr.AttachMetrics(rt.obs.Metrics)
 		// Per-place egress counters feed each place's own registry, the
 		// raw material of the cross-place telemetry aggregation.
-		if ps, ok := rt.tr.(x10rt.PlaceMetricSource); ok {
-			for i := 0; i < cfg.Places; i++ {
-				ps.AttachPlaceMetrics(i, rt.obs.Place(i))
-			}
+		for i := 0; i < cfg.Places; i++ {
+			rt.tr.AttachPlaceMetrics(i, rt.obs.Place(i))
 		}
 		// The wire ledger rides the same per-place registries, so its
 		// x10rt.h<ID>.* / x10rt.link.* accounts flow through the
 		// telemetry gather tree and Prometheus export like any metric.
 		if cfg.WireLedger {
-			if ls, ok := rt.tr.(x10rt.LedgerSink); ok {
-				o := rt.obs
-				rt.ledger = x10rt.NewWireLedger(cfg.Places, func(p int) *obs.Registry {
-					return o.Place(p)
-				})
-				ls.AttachWireLedger(rt.ledger)
-			}
+			o := rt.obs
+			rt.ledger = x10rt.NewWireLedger(cfg.Places, func(p int) *obs.Registry {
+				return o.Place(p)
+			})
+			rt.tr.AttachWireLedger(rt.ledger)
 		}
 	}
 	rt.places = make([]*place, cfg.Places)
@@ -308,26 +298,16 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if err := rt.tr.Register(x10rt.HandlerClockCtl, rt.onClockCtl); err != nil {
 		return nil, err
 	}
-	// The one-sided lane: the arena table always exists (congruent
-	// registers windows unconditionally), and when the transport can
-	// both send and land one-sided ops, landings run through the
-	// runtime's finish-accounting hook.
+	// The one-sided lane: landings run through the runtime's
+	// finish-accounting hook.
 	rt.arenas = x10rt.NewArenaTable()
-	if sink, ok := rt.tr.(x10rt.OneSidedSink); ok {
-		if snd, ok := rt.tr.(x10rt.OneSidedSender); ok {
-			rt.osSender = snd
-			rt.arenas.SetHook(rt.onOneSided)
-			sink.AttachArenas(rt.arenas)
-		}
-	}
+	rt.arenas.SetHook(rt.onOneSided)
+	rt.tr.AttachArenas(rt.arenas)
 	rt.placeActs = make([]placeActivityCounter, cfg.Places)
 	rt.deaths.dead = make([]atomic.Bool, cfg.Places)
-	// Transports that can lose places report here; PlaceDeath is
-	// idempotent, so the in-process notifier's once-per-survivor fan-out
-	// collapses to a single adoption pass.
-	if dn, ok := rt.tr.(x10rt.DeathNotifier); ok {
-		dn.NotifyDeath(func(dead, _ int) { rt.PlaceDeath(Place(dead)) })
-	}
+	// PlaceDeath is idempotent, so the in-process notifier's
+	// once-per-survivor fan-out collapses to a single adoption pass.
+	rt.tr.NotifyDeath(func(dead, _ int) { rt.PlaceDeath(Place(dead)) })
 	return rt, nil
 }
 
@@ -339,15 +319,11 @@ func (rt *Runtime) NumPlaces() int { return rt.cfg.Places }
 func (rt *Runtime) Transport() x10rt.Transport { return rt.tr }
 
 // WireLedger returns the wire observatory's cost-attribution ledger,
-// nil unless Config.WireLedger was set on a transport that supports it.
+// nil unless Config.WireLedger was set.
 func (rt *Runtime) WireLedger() *x10rt.WireLedger { return rt.ledger }
 
 // Arenas returns the process-wide one-sided window registry.
 func (rt *Runtime) Arenas() *x10rt.ArenaTable { return rt.arenas }
-
-// OneSidedEnabled reports whether the transport has a one-sided lane
-// (chan and TCP do; callers without one fall back to active messages).
-func (rt *Runtime) OneSidedEnabled() bool { return rt.osSender != nil }
 
 // Config returns the effective configuration.
 func (rt *Runtime) Config() Config { return rt.cfg }
@@ -447,8 +423,4 @@ func (rt *Runtime) send(src, dst Place, id x10rt.HandlerID, payload any, bytes i
 // forward — where the *last* message of a burst gates termination and
 // must not sit out a batching delay. A no-op on transports that do not
 // buffer.
-func (rt *Runtime) flushTransport(p Place) {
-	if rt.flusher != nil {
-		_ = rt.flusher.Flush(int(p))
-	}
-}
+func (rt *Runtime) flushTransport(p Place) { _ = rt.tr.Flush(int(p)) }

@@ -30,9 +30,6 @@ func runOneSidedPut(places, reps int) (bytesPerSec float64, err error) {
 		return 0, err
 	}
 	defer rt.Close()
-	if !rt.OneSidedEnabled() {
-		return 0, fmt.Errorf("onesided places=%d: runtime has no one-sided lane", places)
-	}
 	alloc := congruent.NewAllocator(rt)
 	arr, err := congruent.NewArray[byte](alloc, oneSidedPutBytes)
 	if err != nil {

@@ -138,15 +138,11 @@ func runTransportMesh(places, perPlace int, batch, codec bool, compressMin, msgB
 			return transportRun{}, err
 		}
 		if lg != nil {
-			if ls, ok := ep.(x10rt.LedgerSink); ok {
-				ls.AttachWireLedger(lg)
-			}
+			ep.AttachWireLedger(lg)
 		}
 	}
 	if o := obs.Global(); o != nil {
-		if ms, ok := eps[0].(x10rt.MetricSource); ok {
-			ms.AttachMetrics(o.Metrics)
-		}
+		eps[0].AttachMetrics(o.Metrics)
 	}
 
 	total := int64(places * perPlace)
@@ -173,9 +169,7 @@ func runTransportMesh(places, perPlace int, batch, codec bool, compressMin, msgB
 	default:
 	}
 	for _, ep := range eps {
-		if f, ok := ep.(x10rt.Flusher); ok {
-			_ = f.Flush(-1)
-		}
+		_ = ep.Flush(-1)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for got.Load() < total {

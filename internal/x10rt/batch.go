@@ -149,8 +149,11 @@ type batchLink struct {
 // bypass the queues entirely — the former so the observability plane
 // neither perturbs nor rides on batching, the latter because loopback
 // has no wire to optimize.
+//
+// The wrapper embeds the transport it wraps; the methods it overrides
+// are the ones batching changes.
 type BatchingTransport struct {
-	inner Transport
+	Transport
 	opts  BatchOptions
 	n     int
 	links []*batchLink // n*n, indexed src*n+dst
@@ -159,7 +162,6 @@ type BatchingTransport struct {
 	mirrorMu sync.RWMutex
 
 	bs BatchSender // inner's batch fast path, nil when unsupported
-	pk PlaceKiller // inner's kill support, nil when unsupported
 	bm batchMetrics
 	lg atomic.Pointer[WireLedger] // queue-wait attribution, nil when detached
 
@@ -175,12 +177,12 @@ func NewBatchingTransport(inner Transport, opts BatchOptions) *BatchingTransport
 	opts.fill()
 	n := inner.NumPlaces()
 	t := &BatchingTransport{
-		inner:  inner,
-		opts:   opts,
-		n:      n,
-		links:  make([]*batchLink, n*n),
-		mirror: make(map[HandlerID]struct{}),
-		stop:   make(chan struct{}),
+		Transport: inner,
+		opts:      opts,
+		n:         n,
+		links:     make([]*batchLink, n*n),
+		mirror:    make(map[HandlerID]struct{}),
+		stop:      make(chan struct{}),
 	}
 	for i := range t.links {
 		// lastNs far in the past so the first send on every link takes
@@ -188,15 +190,11 @@ func NewBatchingTransport(inner Transport, opts BatchOptions) *BatchingTransport
 		t.links[i] = &batchLink{lastNs: math.MinInt64 / 2}
 	}
 	t.bs, _ = inner.(BatchSender)
-	t.pk, _ = inner.(PlaceKiller)
-	if dn, ok := inner.(DeathNotifier); ok {
-		// A death reported from below (e.g. a chaos-injected kill on the
-		// inner transport) must drop the batches queued for the dead
-		// place up here, or a later flush would fail and poison the
-		// whole wrapper. Idempotent, so the once-per-survivor callback
-		// shape is fine.
-		dn.NotifyDeath(func(dead, _ int) { t.purgePlace(dead) })
-	}
+	// A death reported from below (e.g. a chaos-injected kill on the
+	// inner transport) must drop the batches queued for the dead place
+	// up here, or a later flush would fail and poison the whole wrapper.
+	// Idempotent, so the once-per-survivor callback shape is fine.
+	inner.NotifyDeath(func(dead, _ int) { t.purgePlace(dead) })
 	t.stopped.Add(1)
 	go t.flushLoop()
 	return t
@@ -221,17 +219,11 @@ func (t *BatchingTransport) purgePlace(p int) {
 	}
 }
 
-// Inner returns the wrapped transport.
-func (t *BatchingTransport) Inner() Transport { return t.inner }
-
-// NumPlaces implements Transport.
-func (t *BatchingTransport) NumPlaces() int { return t.n }
-
 // Register implements Transport. The wrapper mirrors registrations so
 // a Send naming an unregistered handler fails synchronously, before
 // the message disappears into a queue.
 func (t *BatchingTransport) Register(id HandlerID, h Handler) error {
-	if err := t.inner.Register(id, h); err != nil {
+	if err := t.Transport.Register(id, h); err != nil {
 		return err
 	}
 	t.mirrorMu.Lock()
@@ -259,16 +251,11 @@ func (t *BatchingTransport) Send(src, dst int, id HandlerID, payload any, bytes 
 	if !ok {
 		return fmt.Errorf("%w: id=%d", ErrNoHandler, id)
 	}
-	if t.pk != nil {
-		if t.pk.PlaceDead(dst) {
-			return &PlaceDeadError{Place: dst}
-		}
-		if t.pk.PlaceDead(src) {
-			return &PlaceDeadError{Place: src}
-		}
+	if err := t.deadEnd(src, dst); err != nil {
+		return err
 	}
 	if src == dst || id == HandlerTelemetry {
-		return t.inner.Send(src, dst, id, payload, bytes, class)
+		return t.Transport.Send(src, dst, id, payload, bytes, class)
 	}
 
 	l := t.links[src*t.n+dst]
@@ -293,15 +280,11 @@ func (t *BatchingTransport) Send(src, dst int, id HandlerID, payload any, bytes 
 	return nil
 }
 
-// SendOneSided implements OneSidedSender when the inner transport has a
-// one-sided lane. The link's queued batch is flushed first so the op
-// cannot overtake active messages already accepted on the same link —
-// one-sided ordering is exactly send order, batched or not.
+// SendOneSided implements Transport. The link's queued batch is flushed
+// first so the op cannot overtake active messages already accepted on
+// the same link — one-sided ordering is exactly send order, batched or
+// not.
 func (t *BatchingTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
-	os, ok := t.inner.(OneSidedSender)
-	if !ok {
-		return fmt.Errorf("x10rt: inner transport has no one-sided lane")
-	}
 	if t.closed.Load() {
 		return ErrClosed
 	}
@@ -311,27 +294,27 @@ func (t *BatchingTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 	if src < 0 || src >= t.n || dst < 0 || dst >= t.n {
 		return fmt.Errorf("%w: src=%d dst=%d n=%d", ErrBadPlace, src, dst, t.n)
 	}
-	if t.pk != nil {
-		if t.pk.PlaceDead(dst) {
-			return &PlaceDeadError{Place: dst}
-		}
-		if t.pk.PlaceDead(src) {
-			return &PlaceDeadError{Place: src}
-		}
+	if err := t.deadEnd(src, dst); err != nil {
+		return err
 	}
 	if src != dst {
 		if err := t.flushLink(t.links[src*t.n+dst], src, dst, flushExplicit); err != nil {
 			return err
 		}
 	}
-	return os.SendOneSided(src, dst, op)
+	return t.Transport.SendOneSided(src, dst, op)
 }
 
-// AttachArenas implements OneSidedSink by delegation.
-func (t *BatchingTransport) AttachArenas(at *ArenaTable) {
-	if s, ok := t.inner.(OneSidedSink); ok {
-		s.AttachArenas(at)
+// deadEnd returns a *PlaceDeadError naming the dead endpoint of the
+// (src, dst) link, or nil when both are alive.
+func (t *BatchingTransport) deadEnd(src, dst int) error {
+	if t.PlaceDead(dst) {
+		return &PlaceDeadError{Place: dst}
 	}
+	if t.PlaceDead(src) {
+		return &PlaceDeadError{Place: src}
+	}
+	return nil
 }
 
 // flushLink forwards everything queued on l to the inner transport.
@@ -373,7 +356,7 @@ func (t *BatchingTransport) flushLink(l *batchLink, src, dst int, why flushReaso
 	}
 	for i := range q {
 		m := &q[i]
-		if err := t.inner.Send(src, dst, m.ID, m.Payload, m.Bytes, m.Class); err != nil {
+		if err := t.Transport.Send(src, dst, m.ID, m.Payload, m.Bytes, m.Class); err != nil {
 			return err
 		}
 	}
@@ -430,7 +413,7 @@ func (t *BatchingTransport) flushLoop() {
 	}
 }
 
-// Flush implements Flusher: it pushes every batch queued at source
+// Flush implements Transport: it pushes every batch queued at source
 // place src (all of them when src < 0) to the inner transport now.
 func (t *BatchingTransport) Flush(src int) error {
 	var first error
@@ -454,7 +437,7 @@ func (t *BatchingTransport) Flush(src int) error {
 // of ChanTransport.Quiesce and chaos drains.
 func (t *BatchingTransport) Quiesce() {
 	type quiescer interface{ Quiesce() }
-	iq, _ := t.inner.(quiescer)
+	iq, _ := t.Transport.(quiescer)
 	for {
 		before := t.bm.batches.Value()
 		_ = t.Flush(-1)
@@ -475,79 +458,32 @@ func (t *BatchingTransport) Quiesce() {
 	}
 }
 
-// KillPlace implements PlaceKiller when the inner transport does: the
-// wrapper's queues touching p are dropped first so no doomed flush
-// races the kill, then the death propagates down (which fires the
-// inner transport's notifiers, including the purge subscription).
+// KillPlace implements Transport: the wrapper's queues touching p are
+// dropped first so no doomed flush races the kill, then the death
+// propagates down (which fires the inner transport's notifiers,
+// including the purge subscription).
 func (t *BatchingTransport) KillPlace(p int) error {
-	if t.pk == nil {
-		return fmt.Errorf("x10rt: inner transport %T cannot kill places", t.inner)
-	}
 	if p < 0 || p >= t.n {
 		return fmt.Errorf("%w: p=%d n=%d", ErrBadPlace, p, t.n)
 	}
 	t.purgePlace(p)
-	return t.pk.KillPlace(p)
+	return t.Transport.KillPlace(p)
 }
 
-// PlaceDead implements PlaceKiller by delegation.
-func (t *BatchingTransport) PlaceDead(p int) bool {
-	return t.pk != nil && t.pk.PlaceDead(p)
-}
-
-// NotifyDeath implements DeathNotifier by delegation; without inner
-// support it is a no-op (no death can ever be reported).
-func (t *BatchingTransport) NotifyDeath(fn func(dead, observer int)) {
-	if dn, ok := t.inner.(DeathNotifier); ok {
-		dn.NotifyDeath(fn)
-	}
-}
-
-// Stats implements Transport by delegating to the inner transport,
-// which owns the traffic counters.
-func (t *BatchingTransport) Stats() Stats { return t.inner.Stats() }
-
-// AttachMetrics implements MetricSource: the inner transport's traffic
+// AttachMetrics implements Transport: the inner transport's traffic
 // counters plus the wrapper's x10rt.batch.* metrics.
 func (t *BatchingTransport) AttachMetrics(r *obs.Registry) {
-	if ms, ok := t.inner.(MetricSource); ok {
-		ms.AttachMetrics(r)
-	}
+	t.Transport.AttachMetrics(r)
 	t.bm.attach(r)
 }
 
-// AttachTracer implements TracerSink by delegation: HLC stamping
-// happens in the inner transport, where frames are actually encoded.
-func (t *BatchingTransport) AttachTracer(tr *obs.Tracer) {
-	if ts, ok := t.inner.(TracerSink); ok {
-		ts.AttachTracer(tr)
-	}
-}
-
-// AttachWireLedger implements LedgerSink: the attachment is forwarded
-// to the inner transport (which records sends, wire bytes, and codec
+// AttachWireLedger implements Transport: the attachment is forwarded to
+// the inner transport (which records sends, wire bytes, and codec
 // timings), and the wrapper additionally records each link's batch
 // queue wait into the same ledger.
 func (t *BatchingTransport) AttachWireLedger(lg *WireLedger) {
 	t.lg.Store(lg)
-	if ls, ok := t.inner.(LedgerSink); ok {
-		ls.AttachWireLedger(lg)
-	}
-}
-
-// PlaceStats implements PlaceMetricSource by delegation.
-func (t *BatchingTransport) PlaceStats(p int) Stats {
-	if ps, ok := t.inner.(PlaceMetricSource); ok {
-		return ps.PlaceStats(p)
-	}
-	return Stats{}
-}
-
-// AttachPlaceMetrics implements PlaceMetricSource by delegation.
-func (t *BatchingTransport) AttachPlaceMetrics(p int, r *obs.Registry) {
-	if ps, ok := t.inner.(PlaceMetricSource); ok {
-		ps.AttachPlaceMetrics(p, r)
-	}
+	t.Transport.AttachWireLedger(lg)
 }
 
 // BatchStats reports the wrapper's own counters: batches forwarded and
@@ -565,5 +501,5 @@ func (t *BatchingTransport) Close() error {
 	close(t.stop)
 	t.stopped.Wait()
 	_ = t.Flush(-1)
-	return t.inner.Close()
+	return t.Transport.Close()
 }

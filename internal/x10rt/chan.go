@@ -201,7 +201,7 @@ func (t *ChanTransport) Send(src, dst int, id HandlerID, payload any, bytes int,
 	return nil
 }
 
-// SendOneSided implements OneSidedSender: op rides dst's mailbox like a
+// SendOneSided implements Transport: op rides dst's mailbox like a
 // DataClass message (same pending/quiesce discipline, same per-link
 // FIFO, never reordered) but is landed by the arena table on the
 // dispatcher — no handler, no serialization. op.Local is the caller's
@@ -260,7 +260,7 @@ func (t *ChanTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 	return nil
 }
 
-// AttachArenas implements OneSidedSink.
+// AttachArenas implements Transport.
 func (t *ChanTransport) AttachArenas(at *ArenaTable) { t.arenas.Store(at) }
 
 // enqueueLocked inserts m keeping the pending queue sorted by slot (stable
@@ -370,11 +370,11 @@ func (t *ChanTransport) Quiesce() {
 	}
 }
 
-// KillPlace implements PlaceKiller: place p is severed from the
+// KillPlace implements Transport: place p is severed from the
 // transport. Messages queued for p are discarded, future sends to or
 // from p fail with a *PlaceDeadError, and every NotifyDeath callback
 // fires once per surviving place (on a fresh goroutine — see
-// DeathNotifier). Idempotent.
+// Transport.NotifyDeath). Idempotent.
 func (t *ChanTransport) KillPlace(p int) error {
 	if p < 0 || p >= t.opts.Places {
 		return fmt.Errorf("%w: p=%d n=%d", ErrBadPlace, p, t.opts.Places)
@@ -402,20 +402,27 @@ func (t *ChanTransport) KillPlace(p int) error {
 	return nil
 }
 
-// PlaceDead implements PlaceKiller.
+// PlaceDead implements Transport.
 func (t *ChanTransport) PlaceDead(p int) bool { return t.deaths.isDead(p) }
 
-// NotifyDeath implements DeathNotifier.
+// NotifyDeath implements Transport.
 func (t *ChanTransport) NotifyDeath(fn func(dead, observer int)) { t.deaths.subscribe(fn) }
 
 // Stats implements Transport.
 func (t *ChanTransport) Stats() Stats { return t.ctrs.snapshot() }
 
-// AttachMetrics implements MetricSource: the traffic counters become
+// Flush implements Transport; the in-process transport buffers nothing.
+func (t *ChanTransport) Flush(int) error { return nil }
+
+// AttachTracer implements Transport; in-process messages carry no
+// frames to stamp.
+func (t *ChanTransport) AttachTracer(*obs.Tracer) {}
+
+// AttachMetrics implements Transport: the traffic counters become
 // visible in r under x10rt.msgs.<class> / x10rt.bytes.<class>.
 func (t *ChanTransport) AttachMetrics(r *obs.Registry) { t.ctrs.attach(r) }
 
-// PlaceStats implements PlaceMetricSource: traffic sent by place p.
+// PlaceStats implements Transport: traffic sent by place p.
 func (t *ChanTransport) PlaceStats(p int) Stats {
 	if p < 0 || p >= len(t.perPlace) {
 		return Stats{}
@@ -423,14 +430,14 @@ func (t *ChanTransport) PlaceStats(p int) Stats {
 	return t.perPlace[p].snapshot()
 }
 
-// AttachPlaceMetrics implements PlaceMetricSource.
+// AttachPlaceMetrics implements Transport.
 func (t *ChanTransport) AttachPlaceMetrics(p int, r *obs.Registry) {
 	if p >= 0 && p < len(t.perPlace) {
 		t.perPlace[p].attach(r)
 	}
 }
 
-// AttachWireLedger implements LedgerSink: every subsequent send and
+// AttachWireLedger implements Transport: every subsequent send and
 // delivery is attributed by (handler, link). Safe to call at any time;
 // nil detaches.
 func (t *ChanTransport) AttachWireLedger(lg *WireLedger) { t.lg.Store(lg) }

@@ -1,11 +1,6 @@
 package x10rt
 
-import (
-	"fmt"
-	"sync"
-
-	"apgas/internal/obs"
-)
+import "sync"
 
 // CountingTransport decorates a Transport with per-link accounting:
 // message counts per (src, dst, class) link. The finish ablation studies
@@ -13,6 +8,9 @@ import (
 // per place — which is what the Power 775 interconnect cared about, not
 // just aggregate counts (§3.1: the default finish "may flood the network
 // interface of the place of the activity waiting on the finish").
+//
+// It counts only Send and SendOneSided; every other method is the
+// wrapped transport's.
 type CountingTransport struct {
 	Transport
 	mu    sync.Mutex
@@ -42,98 +40,16 @@ func (t *CountingTransport) Send(src, dst int, id HandlerID, payload any, bytes 
 	return nil
 }
 
-// SendOneSided implements OneSidedSender when the wrapped transport has
-// a one-sided lane; the op counts as one DataClass message on its link.
+// SendOneSided implements Transport; the op counts as one DataClass
+// message on its link.
 func (t *CountingTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
-	os, ok := t.Transport.(OneSidedSender)
-	if !ok {
-		return fmt.Errorf("x10rt: inner transport has no one-sided lane")
-	}
-	if err := os.SendOneSided(src, dst, op); err != nil {
+	if err := t.Transport.SendOneSided(src, dst, op); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	t.links[linkKey{src, dst, DataClass}]++
 	t.mu.Unlock()
 	return nil
-}
-
-// AttachArenas implements OneSidedSink by delegation.
-func (t *CountingTransport) AttachArenas(at *ArenaTable) {
-	if s, ok := t.Transport.(OneSidedSink); ok {
-		s.AttachArenas(at)
-	}
-}
-
-// AttachMetrics forwards to the wrapped transport when it is a
-// MetricSource, so decorating with CountingTransport does not hide the
-// inner transport's registry integration.
-func (t *CountingTransport) AttachMetrics(r *obs.Registry) {
-	if ms, ok := t.Transport.(MetricSource); ok {
-		ms.AttachMetrics(r)
-	}
-}
-
-// PlaceStats forwards to the wrapped transport when it attributes
-// traffic per place (zero Stats otherwise).
-func (t *CountingTransport) PlaceStats(p int) Stats {
-	if ps, ok := t.Transport.(PlaceMetricSource); ok {
-		return ps.PlaceStats(p)
-	}
-	return Stats{}
-}
-
-// AttachPlaceMetrics forwards to the wrapped transport when it is a
-// PlaceMetricSource.
-func (t *CountingTransport) AttachPlaceMetrics(p int, r *obs.Registry) {
-	if ps, ok := t.Transport.(PlaceMetricSource); ok {
-		ps.AttachPlaceMetrics(p, r)
-	}
-}
-
-// AttachWireLedger forwards to the wrapped transport when it is a
-// LedgerSink, so wire cost attribution pierces the counting decorator.
-func (t *CountingTransport) AttachWireLedger(lg *WireLedger) {
-	if ls, ok := t.Transport.(LedgerSink); ok {
-		ls.AttachWireLedger(lg)
-	}
-}
-
-// Flush forwards to the wrapped transport when it buffers sends, so
-// protocol flush points reach a BatchingTransport hiding below a
-// counting decorator.
-func (t *CountingTransport) Flush(src int) error {
-	if f, ok := t.Transport.(Flusher); ok {
-		return f.Flush(src)
-	}
-	return nil
-}
-
-// KillPlace forwards to the wrapped transport when it supports place
-// death (error otherwise), so chaos/conformance harnesses can kill
-// through a counting decorator.
-func (t *CountingTransport) KillPlace(p int) error {
-	if pk, ok := t.Transport.(PlaceKiller); ok {
-		return pk.KillPlace(p)
-	}
-	return fmt.Errorf("x10rt: inner transport %T does not support KillPlace", t.Transport)
-}
-
-// PlaceDead forwards to the wrapped transport when it is a PlaceKiller
-// (false otherwise).
-func (t *CountingTransport) PlaceDead(p int) bool {
-	if pk, ok := t.Transport.(PlaceKiller); ok {
-		return pk.PlaceDead(p)
-	}
-	return false
-}
-
-// NotifyDeath forwards to the wrapped transport when it is a
-// DeathNotifier, so death subscriptions pierce the counting decorator.
-func (t *CountingTransport) NotifyDeath(fn func(dead, observer int)) {
-	if dn, ok := t.Transport.(DeathNotifier); ok {
-		dn.NotifyDeath(fn)
-	}
 }
 
 // Reset clears the per-link counters.

@@ -193,20 +193,6 @@ type OneSidedOp struct {
 	Applied bool
 }
 
-// OneSidedSender is implemented by transports with a one-sided lane.
-// SendOneSided ships op from src to dst with per-link FIFO ordering
-// relative to Send on the same link and DataClass accounting under
-// HandlerOneSided.
-type OneSidedSender interface {
-	SendOneSided(src, dst int, op *OneSidedOp) error
-}
-
-// OneSidedSink is implemented by transports that can land one-sided
-// ops; the runtime hands them the process-wide arena table at startup.
-type OneSidedSink interface {
-	AttachArenas(*ArenaTable)
-}
-
 // OneSidedHook intercepts every landing op (the core runtime's finish
 // accounting). reply ships a response op from dst back toward src —
 // only Get uses it, and only before the hook returns. The hook is

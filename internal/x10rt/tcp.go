@@ -290,6 +290,7 @@ func (t *TCPTransport) Send(src, dst int, id HandlerID, payload any, bytes int, 
 	conn.mu.Unlock()
 	t.writeq.Add(-1)
 	if err != nil {
+		t.dropConn(dst, conn)
 		return fmt.Errorf("x10rt: send to %d: %w", dst, err)
 	}
 	if countable(id) {
@@ -377,6 +378,7 @@ func (t *TCPTransport) SendBatch(src, dst int, msgs []BatchMsg, compressMin int)
 	conn.mu.Unlock()
 	t.writeq.Add(-1)
 	if err != nil {
+		t.dropConn(dst, conn)
 		return fmt.Errorf("x10rt: batch send to %d: %w", dst, err)
 	}
 	for i := range msgs {
@@ -431,7 +433,7 @@ func (t *TCPTransport) writeCodecBatch(src, dst int, msgs []BatchMsg, compressMi
 
 // dropConn closes and forgets an outbound connection whose stream state
 // can no longer be trusted (failed write, or a codec frame that died
-// after mutating the type table).
+// after mutating the type table). The next send to dst redials.
 func (t *TCPTransport) dropConn(dst int, conn *tcpConn) {
 	t.mu.Lock()
 	if t.conns[dst] == conn {
@@ -621,7 +623,7 @@ func (t *TCPTransport) readOneSided(br *bufio.Reader, payloadLen int) error {
 	return err
 }
 
-// SendOneSided implements OneSidedSender: op travels as one v5 frame
+// SendOneSided implements Transport: op travels as one v5 frame
 // whose data section is scatter-gathered straight from the caller's
 // buffer (writev) — no staging copy, no handler dispatch at the far
 // end. Typed payloads (op.Raw) are encoded here, the only place a wire
@@ -717,7 +719,7 @@ func (t *TCPTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 	return nil
 }
 
-// AttachArenas implements OneSidedSink.
+// AttachArenas implements Transport.
 func (t *TCPTransport) AttachArenas(at *ArenaTable) { t.arenas.Store(at) }
 
 // dispatch counts and runs one inbound message on the caller's
@@ -751,7 +753,7 @@ func (t *TCPTransport) selfDispatch() {
 	}
 }
 
-// KillPlace implements PlaceKiller for one endpoint of a mesh: it marks
+// KillPlace implements Transport for one endpoint of a mesh: it marks
 // p dead in this endpoint's view. Sends to or from p fail fast with a
 // *PlaceDeadError, inbound frames from p (and all inbound traffic when
 // p is this endpoint itself) are discarded, and — when this endpoint
@@ -782,17 +784,20 @@ func (t *TCPTransport) KillPlace(p int) error {
 	return nil
 }
 
-// PlaceDead implements PlaceKiller.
+// PlaceDead implements Transport.
 func (t *TCPTransport) PlaceDead(p int) bool { return t.deaths.isDead(p) }
 
-// NotifyDeath implements DeathNotifier.
+// NotifyDeath implements Transport.
 func (t *TCPTransport) NotifyDeath(fn func(dead, observer int)) { t.deaths.subscribe(fn) }
+
+// Flush implements Transport; every Send is written before it returns.
+func (t *TCPTransport) Flush(int) error { return nil }
 
 // Stats implements Transport. Counters cover messages sent from and
 // received at this endpoint (self-sends are counted once).
 func (t *TCPTransport) Stats() Stats { return t.ctrs.snapshot() }
 
-// AttachMetrics implements MetricSource: the traffic counters become
+// AttachMetrics implements Transport: the traffic counters become
 // visible in r under x10rt.msgs.<class> / x10rt.bytes.<class>, plus
 // the endpoint's write-queue backpressure gauge.
 func (t *TCPTransport) AttachMetrics(r *obs.Registry) {
@@ -805,7 +810,7 @@ func (t *TCPTransport) AttachMetrics(r *obs.Registry) {
 // Safe to call at any time; nil detaches.
 func (t *TCPTransport) AttachTracer(tr *obs.Tracer) { t.tr.Store(tr) }
 
-// PlaceStats implements PlaceMetricSource. A TCP endpoint only carries
+// PlaceStats implements Transport. A TCP endpoint only carries
 // its own place's egress; any other place reports zero here (its own
 // endpoint, in its own process, holds its counters).
 func (t *TCPTransport) PlaceStats(p int) Stats {
@@ -815,7 +820,7 @@ func (t *TCPTransport) PlaceStats(p int) Stats {
 	return t.egress.snapshot()
 }
 
-// AttachPlaceMetrics implements PlaceMetricSource.
+// AttachPlaceMetrics implements Transport.
 func (t *TCPTransport) AttachPlaceMetrics(p int, r *obs.Registry) {
 	if p == t.opts.Place {
 		t.egress.attach(r)
@@ -823,7 +828,7 @@ func (t *TCPTransport) AttachPlaceMetrics(p int, r *obs.Registry) {
 	}
 }
 
-// AttachWireLedger implements LedgerSink: sends, receives, and
+// AttachWireLedger implements Transport: sends, receives, and
 // serialization timings at this endpoint are attributed by
 // (handler, link). Safe to call at any time; nil detaches.
 func (t *TCPTransport) AttachWireLedger(lg *WireLedger) { t.lg.Store(lg) }

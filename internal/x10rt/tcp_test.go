@@ -154,6 +154,63 @@ func TestTCPErrors(t *testing.T) {
 	}
 }
 
+// TestTCPGobWriteFailureRedials pins the gob send paths' handling of a
+// broken outbound connection: the send that hits it fails, the
+// connection is dropped, and the next send redials and delivers.
+func TestTCPGobWriteFailureRedials(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		msgs int // messages one send delivers
+		send func(tr *TCPTransport, v int) error
+	}{
+		{"Send", 1, func(tr *TCPTransport, v int) error {
+			return tr.Send(0, 1, UserHandlerBase, wirePayload{Value: v}, 8, DataClass)
+		}},
+		{"SendBatch", 2, func(tr *TCPTransport, v int) error {
+			msg := BatchMsg{ID: UserHandlerBase, Payload: wirePayload{Value: v}, Bytes: 8, Class: DataClass}
+			return tr.SendBatch(0, 1, []BatchMsg{msg, msg}, 0)
+		}},
+	} {
+		send := tc.send
+		t.Run(tc.name, func(t *testing.T) {
+			mesh := newTestMesh(t, 2)
+			got := make(chan int, 8)
+			if err := mesh[1].Register(UserHandlerBase, func(src, dst int, payload any) {
+				got <- payload.(wirePayload).Value
+			}); err != nil {
+				t.Fatal(err)
+			}
+			await := func(want int) {
+				t.Helper()
+				for i := 0; i < tc.msgs; i++ {
+					select {
+					case v := <-got:
+						if v != want {
+							t.Fatalf("delivered %d, want %d", v, want)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatalf("message %d not delivered", want)
+					}
+				}
+			}
+			if err := send(mesh[0], 1); err != nil {
+				t.Fatalf("first send: %v", err)
+			}
+			await(1)
+			mesh[0].mu.Lock()
+			mesh[0].conns[1].c.Close()
+			mesh[0].mu.Unlock()
+			if err := send(mesh[0], 2); err == nil {
+				t.Fatal("send on a closed connection succeeded")
+			}
+			if err := send(mesh[0], 3); err != nil {
+				t.Fatalf("send after the failed write did not redial: %v", err)
+			}
+			await(3)
+		})
+	}
+}
+
 func TestTCPNumPlacesAndAddr(t *testing.T) {
 	mesh := newTestMesh(t, 4)
 	for _, tr := range mesh {

@@ -15,9 +15,12 @@
 //   - TCPTransport: a socket transport with gob-serialized active
 //     messages, standing in for the PAMI/sockets backends of X10RT.
 //
-// An implementation is only required to provide basic point-to-point
-// active-message primitives; everything else (collectives, RDMA) is
-// emulated above this interface, exactly as the paper describes.
+// Every implementation, concrete or decorator, provides the whole
+// Transport contract: point-to-point active messages, the one-sided
+// lane, place death, flushing, and the accounting and tracing
+// attachments. Collectives and the rest of the runtime are built above
+// it, as the paper describes. The one optional capability is
+// BatchSender, which only NewBatchingTransport probes for.
 package x10rt
 
 import (
@@ -71,6 +74,9 @@ func (c Class) String() string {
 // (src, dst) pair is FIFO unless the transport was configured to inject
 // reordering; messages from different sources are unordered relative to one
 // another, as on a real interconnect.
+//
+// Decorators (batching, counting, chaos) embed the Transport they wrap
+// and override only the methods whose behaviour they change.
 type Transport interface {
 	// NumPlaces reports the number of places connected by this transport.
 	NumPlaces() int
@@ -87,8 +93,50 @@ type Transport interface {
 	// Send never blocks on the destination's progress.
 	Send(src, dst int, id HandlerID, payload any, bytes int, class Class) error
 
+	// SendOneSided ships op from src to dst on the one-sided lane, with
+	// per-link FIFO ordering relative to Send on the same link and
+	// DataClass accounting under HandlerOneSided.
+	SendOneSided(src, dst int, op *OneSidedOp) error
+
+	// AttachArenas hands the transport the process-wide arena table that
+	// one-sided ops land in.
+	AttachArenas(at *ArenaTable)
+
+	// Flush pushes every message buffered at source place src (all
+	// places when src < 0) out immediately. The runtime calls it at
+	// protocol flush points (after a finish quiescence snapshot, after a
+	// dense-router forward) where latency, not bandwidth, is on the
+	// critical path. Transports that do not buffer return nil.
+	Flush(src int) error
+
+	// KillPlace severs place p: sends to or from p fail fast with a
+	// *PlaceDeadError, messages queued for delivery at p are discarded,
+	// and every NotifyDeath callback fires once per survivor. KillPlace
+	// is idempotent; killing an out-of-range place returns ErrBadPlace.
+	KillPlace(p int) error
+
+	// PlaceDead reports whether p has been killed.
+	PlaceDead(p int) bool
+
+	// NotifyDeath subscribes fn to place deaths. Each callback fires
+	// exactly once per (dead place, surviving place) pair: an in-process
+	// transport serving n places invokes fn once for every surviving
+	// observer; a per-place endpoint (TCP) invokes fn once with its own
+	// place as the observer. Callbacks run on a fresh goroutine, never
+	// on the goroutine that triggered the kill, so they may call back
+	// into the transport freely.
+	NotifyDeath(fn func(dead, observer int))
+
 	// Stats returns a snapshot of traffic counters.
 	Stats() Stats
+
+	PlaceMetricSource
+	LedgerSink
+
+	// AttachTracer lets a serializing transport stamp outgoing batch
+	// frames with the sender's hybrid logical clock and fold inbound
+	// stamps back in. In-process transports ignore it.
+	AttachTracer(tr *obs.Tracer)
 
 	// Close shuts down dispatchers and releases resources. After Close,
 	// Send returns ErrClosed.
@@ -158,27 +206,6 @@ func (e *PlaceDeadError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrPlaceDead) hold for any PlaceDeadError.
 func (e *PlaceDeadError) Unwrap() error { return ErrPlaceDead }
-
-// DeathNotifier is implemented by transports that can report place
-// death upward. Each registered callback fires exactly once per
-// (dead place, surviving place) pair: an in-process transport serving n
-// places invokes fn once for every surviving observer; a per-place
-// endpoint (TCP) invokes fn once with its own place as the observer.
-// Callbacks run on a fresh goroutine — never on the goroutine that
-// triggered the kill — so they may call back into the transport freely.
-type DeathNotifier interface {
-	NotifyDeath(fn func(dead, observer int))
-}
-
-// PlaceKiller is implemented by transports that support severing a
-// place. After KillPlace(p): sends to or from p fail fast with a
-// *PlaceDeadError, messages queued for delivery at p are discarded, and
-// every DeathNotifier callback fires once per survivor. KillPlace is
-// idempotent; killing an out-of-range place returns ErrBadPlace.
-type PlaceKiller interface {
-	KillPlace(p int) error
-	PlaceDead(p int) bool
-}
 
 // deathState is the shared kill bookkeeping used by the concrete
 // transports: the dead set, the subscribed callbacks, and the
@@ -317,31 +344,15 @@ func (s Stats) String() string {
 		s.WireBytes)
 }
 
-// MetricSource is implemented by transports whose traffic counters can
-// be surfaced in an obs.Registry. The runtime attaches the registry of
-// its observability layer at construction time; the counters themselves
-// are always on, so Stats remains a plain view over the same atomics —
-// attaching adds names, not cost.
-type MetricSource interface {
-	AttachMetrics(r *obs.Registry)
-}
-
-// TracerSink is implemented by transports that participate in
-// distributed tracing at the wire level: an attached tracer lets them
-// stamp outgoing batch frames with the sender's hybrid logical clock
-// and fold inbound stamps back in. Decorator transports delegate to
-// the layer that actually encodes frames.
-type TracerSink interface {
-	AttachTracer(tr *obs.Tracer)
-}
-
-// PlaceMetricSource is implemented by transports that additionally
-// attribute traffic to individual places (by source, i.e. egress
-// accounting), so the telemetry plane can aggregate per-place views.
-// The sum of PlaceStats over all places equals Stats: every message is
-// attributed to exactly one place, its sender.
+// PlaceMetricSource is the accounting part of the Transport contract.
+// The traffic counters are always on, so Stats is a plain view over the
+// same atomics and attaching a registry adds names, not cost. Traffic
+// is attributed per place by source (egress accounting), so the sum of
+// PlaceStats over all places equals Stats: every message is attributed
+// to exactly one place, its sender.
 type PlaceMetricSource interface {
-	MetricSource
+	// AttachMetrics registers the transport's traffic counters in r.
+	AttachMetrics(r *obs.Registry)
 	// PlaceStats returns the traffic sent by place p (zero Stats when
 	// the transport does not carry p's egress, e.g. a remote endpoint).
 	PlaceStats(p int) Stats
@@ -370,19 +381,13 @@ type BatchMsg struct {
 // sequence of Send calls. compressMin enables transparent compression
 // of batch payloads at least that large (<= 0 disables it). Messages
 // must be delivered in slice order.
+//
+// BatchSender stays outside Transport on purpose. Decorators embed the
+// Transport they wrap, so a contract method would be promoted through
+// chaos and counting, and a coalesced batch would then bypass their
+// per-message fault decisions and per-link counts.
 type BatchSender interface {
 	SendBatch(src, dst int, msgs []BatchMsg, compressMin int) error
-}
-
-// Flusher is implemented by transports that buffer sends (the
-// BatchingTransport). Flush pushes every message queued at source place
-// src out to the underlying transport immediately, overriding the flush
-// policy. The runtime calls it at protocol flush points — after a
-// finish quiescence snapshot, after a dense-router forward — where
-// latency, not bandwidth, is on the critical path. Wrappers that
-// decorate a Flusher (counting, chaos) forward Flush to it.
-type Flusher interface {
-	Flush(src int) error
 }
 
 // counters accumulates traffic statistics with atomic updates. The cells

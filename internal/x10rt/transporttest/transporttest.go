@@ -79,9 +79,7 @@ func flushAll(m *Mesh) {
 			continue
 		}
 		seen[ep] = true
-		if f, ok := ep.(x10rt.Flusher); ok {
-			_ = f.Flush(-1)
-		}
+		_ = ep.Flush(-1)
 	}
 }
 
@@ -97,9 +95,8 @@ func TestTransport(t *testing.T, factory Factory) {
 // TestTransportDeath runs the death-semantics battery: after KillPlace,
 // sends touching the dead place fail fast with the typed error, no frame
 // is ever delivered twice (discarding queued frames for the victim is
-// allowed; duplicating anything is not), and every DeathNotifier
+// allowed; duplicating anything is not), and every NotifyDeath
 // subscription observes the death exactly once per surviving place.
-// Factories whose transports do not implement PlaceKiller are skipped.
 func TestTransportDeath(t *testing.T, factory Factory) {
 	t.Run("FailFastTypedError", func(t *testing.T) { testDeathFailFast(t, factory) })
 	t.Run("NotifierOncePerSurvivor", func(t *testing.T) { testDeathNotifier(t, factory) })
@@ -121,16 +118,11 @@ func endpoints(m *Mesh) []x10rt.Transport {
 
 // killAll kills place v the way a cluster's failure detector would: on
 // every distinct endpoint. A single-object transport sees one call; a
-// mesh of per-place endpoints sees one per endpoint. Skips the test if
-// the transport has no PlaceKiller.
+// mesh of per-place endpoints sees one per endpoint.
 func killAll(t *testing.T, m *Mesh, v int) {
 	t.Helper()
 	for _, ep := range endpoints(m) {
-		pk, ok := ep.(x10rt.PlaceKiller)
-		if !ok {
-			t.Skipf("transport %T does not implement PlaceKiller", ep)
-		}
-		if err := pk.KillPlace(v); err != nil {
+		if err := ep.KillPlace(v); err != nil {
 			t.Fatalf("KillPlace(%d) on %T: %v", v, ep, err)
 		}
 	}
@@ -187,11 +179,7 @@ func testDeathNotifier(t *testing.T, factory Factory) {
 	fired := map[[2]int]int{}
 	eps := endpoints(m)
 	for _, ep := range eps {
-		dn, ok := ep.(x10rt.DeathNotifier)
-		if !ok {
-			t.Skipf("transport %T does not implement DeathNotifier", ep)
-		}
-		dn.NotifyDeath(func(dead, observer int) {
+		ep.NotifyDeath(func(dead, observer int) {
 			mu.Lock()
 			fired[[2]int{dead, observer}]++
 			mu.Unlock()
@@ -214,7 +202,7 @@ func testDeathNotifier(t *testing.T, factory Factory) {
 	time.Sleep(20 * time.Millisecond)
 	// A second kill of the same place must not renotify.
 	for _, ep := range eps {
-		_ = ep.(x10rt.PlaceKiller).KillPlace(victim)
+		_ = ep.KillPlace(victim)
 	}
 	time.Sleep(20 * time.Millisecond)
 
@@ -257,9 +245,6 @@ func testDeathNoDoubleDelivery(t *testing.T, factory Factory) {
 	})
 	if err != nil {
 		t.Fatalf("Register: %v", err)
-	}
-	if _, ok := m.Endpoint(0).(x10rt.PlaceKiller); !ok {
-		t.Skipf("transport %T does not implement PlaceKiller", m.Endpoint(0))
 	}
 
 	okToSurvivor := make([]bool, stream)
@@ -482,11 +467,7 @@ func testByteAccounting(t *testing.T, factory Factory) {
 
 	var sum x10rt.Stats
 	for p := 0; p < places; p++ {
-		ps, ok := m.Endpoint(p).(x10rt.PlaceMetricSource)
-		if !ok {
-			t.Fatalf("endpoint %d is not a PlaceMetricSource", p)
-		}
-		s := ps.PlaceStats(p)
+		s := m.Endpoint(p).PlaceStats(p)
 		for i := range sum.Messages {
 			sum.Messages[i] += s.Messages[i]
 			sum.Bytes[i] += s.Bytes[i]
@@ -570,8 +551,7 @@ func testCloseWhileSending(t *testing.T, factory Factory) {
 
 // ---------------------------------------------------------------------
 // One-sided battery: the frame-v5 lane that lands (arena, offset, raw
-// bytes) without active-message dispatch. Transports without the lane
-// (no OneSidedSender/OneSidedSink) skip.
+// bytes) without active-message dispatch.
 
 // oneSidedHandler is the flag channel for the ordering tests.
 const oneSidedHandler = handlerID + 7
@@ -588,21 +568,15 @@ func TestTransportOneSided(t *testing.T, factory Factory) {
 	t.Run("DeathFailFast", func(t *testing.T) { testOneSidedDeath(t, factory) })
 }
 
-// oneSidedMesh builds the mesh, requires the lane on every endpoint, and
-// attaches one shared ArenaTable (the process-wide registry shape the
-// core runtime uses).
+// oneSidedMesh builds the mesh and attaches one shared ArenaTable to
+// every endpoint (the process-wide registry shape the core runtime
+// uses).
 func oneSidedMesh(t *testing.T, factory Factory, places int) (*Mesh, *x10rt.ArenaTable) {
 	t.Helper()
 	m := factory(t, places)
 	at := x10rt.NewArenaTable()
 	for _, ep := range endpoints(m) {
-		snd, ok := ep.(x10rt.OneSidedSender)
-		sink, ok2 := ep.(x10rt.OneSidedSink)
-		if !ok || !ok2 {
-			t.Skipf("transport %T has no one-sided lane", ep)
-		}
-		_ = snd
-		sink.AttachArenas(at)
+		ep.AttachArenas(at)
 	}
 	return m, at
 }
@@ -725,14 +699,13 @@ func testOneSidedPutOrdering(t *testing.T, factory Factory) {
 	}
 
 	src := m.Endpoint(0)
-	snd := src.(x10rt.OneSidedSender)
 	for i := 0; i < rounds; i++ {
 		data := appendU64(nil, uint64(i))
 		op := &x10rt.OneSidedOp{
 			Kind: x10rt.OneSidedPut, Arena: 1, Off: 0, Elems: 8,
 			Data: data, Local: data, Bytes: 8,
 		}
-		if err := snd.SendOneSided(0, 1, op); err != nil {
+		if err := src.SendOneSided(0, 1, op); err != nil {
 			t.Fatalf("SendOneSided(round %d): %v", i, err)
 		}
 		if err := src.Send(0, 1, oneSidedHandler, Payload{Seq: i}, 8, x10rt.DataClass); err != nil {
@@ -774,8 +747,7 @@ func testOneSidedGet(t *testing.T, factory Factory) {
 		},
 	})
 
-	snd := m.Endpoint(0).(x10rt.OneSidedSender)
-	if err := snd.SendOneSided(0, 1, &x10rt.OneSidedOp{
+	if err := m.Endpoint(0).SendOneSided(0, 1, &x10rt.OneSidedOp{
 		Kind: x10rt.OneSidedGet, Arena: 1, Off: 8, Elems: 16, ReplyArena: reply,
 	}); err != nil {
 		t.Fatalf("SendOneSided(get): %v", err)
@@ -810,7 +782,7 @@ func testOneSidedAtomics(t *testing.T, factory Factory) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			snd := m.Endpoint(s).(x10rt.OneSidedSender)
+			snd := m.Endpoint(s)
 			for i := 0; i < perSender; i++ {
 				if err := snd.SendOneSided(s, 1, &x10rt.OneSidedOp{
 					Kind: x10rt.OneSidedAdd, Arena: 1, Off: 0, Val: 1,
@@ -897,7 +869,7 @@ func testOneSidedXorBatchForms(t *testing.T, factory Factory) {
 			if err != nil {
 				t.Fatalf("NewXorBatchOp: %v", err)
 			}
-			if err := m.Endpoint(leg.src).(x10rt.OneSidedSender).SendOneSided(leg.src, 1, op); err != nil {
+			if err := m.Endpoint(leg.src).SendOneSided(leg.src, 1, op); err != nil {
 				t.Fatalf("SendOneSided(%d->1, batch %d): %v", leg.src, b, err)
 			}
 		}
@@ -929,7 +901,7 @@ func testOneSidedDeath(t *testing.T, factory Factory) {
 
 	killAll(t, m, victim)
 
-	snd0 := m.Endpoint(0).(x10rt.OneSidedSender)
+	snd0 := m.Endpoint(0)
 	err := snd0.SendOneSided(0, victim, &x10rt.OneSidedOp{
 		Kind: x10rt.OneSidedAdd, Arena: 1, Off: 0, Val: 1,
 	})
@@ -940,8 +912,7 @@ func testOneSidedDeath(t *testing.T, factory Factory) {
 	if !errors.Is(err, x10rt.ErrPlaceDead) {
 		t.Errorf("op to victim does not unwrap to ErrPlaceDead: %v", err)
 	}
-	sndV := m.Endpoint(victim).(x10rt.OneSidedSender)
-	if err := sndV.SendOneSided(victim, 2, &x10rt.OneSidedOp{
+	if err := m.Endpoint(victim).SendOneSided(victim, 2, &x10rt.OneSidedOp{
 		Kind: x10rt.OneSidedAdd, Arena: 2, Off: 0, Val: 1,
 	}); !errors.Is(err, x10rt.ErrPlaceDead) {
 		t.Errorf("op from victim: err = %v, want ErrPlaceDead", err)

@@ -49,11 +49,11 @@ func wireNow() int64 { return int64(time.Since(wireEpoch)) }
 //   - Telemetry traffic (HandlerTelemetry) is never recorded, matching
 //     countable().
 
-// LedgerSink is implemented by transports that can attribute their
-// traffic to a WireLedger. Decorator transports (batching, counting,
-// chaos) forward the attachment to the layer that actually touches the
-// wire, and may additionally record their own costs (the
-// BatchingTransport records queue wait).
+// LedgerSink is the wire-ledger part of the Transport contract: an
+// attached ledger receives the transport's traffic attribution.
+// Decorators (counting, chaos) pass the attachment through to the layer
+// that actually touches the wire; the BatchingTransport additionally
+// records its own queue wait.
 type LedgerSink interface {
 	AttachWireLedger(lg *WireLedger)
 }
