@@ -31,11 +31,12 @@ bench:
 # exercises the steal/lifeline critical-path buckets), validate it
 # against the BENCH schema, then self-compare — benchdiff must report
 # zero regressions by construction, so any failure is a pipeline bug.
-# The transport gate then asserts the wire-path overhaul's acceptance
-# target: ≥3x msgs/s from batching on the small-control-frame
-# microbenchmark, and the tracing gate asserts the distributed-tracing
-# acceptance target: disabled span-propagation hooks cost <2% of a
-# finish message and allocate nothing.
+# The transport gates then assert the wire-path acceptance targets on
+# the small-control-frame microbenchmark over v4 frames: ≥3x msgs/s
+# from batching, and ≥3x from a binary payload codec over the same
+# shape on the gob fallback. The tracing gate asserts the
+# distributed-tracing acceptance target: disabled span-propagation
+# hooks cost <2% of a finish message and allocate nothing.
 bench-smoke:
 	$(GO) run ./cmd/apgas-bench -exp uts -scale tiny -bench-json /tmp/apgas-bench-smoke.json -bench-reps 1
 	$(GO) run ./cmd/tracecheck -bench /tmp/apgas-bench-smoke.json
@@ -119,11 +120,13 @@ litmus:
 	$(GO) test -race -run 'TestLitmus' ./internal/core
 	$(GO) test -race -run 'TestDeath' ./internal/x10rt/transporttest
 
-# 30 seconds of coverage-guided fuzzing per target: the x10rt TCP frame
-# and batch-frame codecs and the tracecheck flight-dump and
-# bench-artifact validators. -fuzzminimizetime is
-# bounded because the default 60s-per-input minimization budget would
-# otherwise consume the entire run.
+# 30 seconds of coverage-guided fuzzing per target: the x10rt frame
+# reader (single frames, byte round trips, v4 payloads, v4 and v5
+# frames), v4 frame stream and type-table handshake, and the tracecheck
+# flight-dump, bench-artifact, merged-trace, kill-dump and wire-dump
+# validators. -fuzzminimizetime is bounded because the default
+# 60s-per-input minimization budget would otherwise consume the entire
+# run.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime 30s -fuzzminimizetime=10x ./internal/x10rt
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 30s -fuzzminimizetime=10x ./internal/x10rt

@@ -91,12 +91,7 @@ func main() {
 		"with -batch: bound on how long a queued frame may wait before its batch flushes")
 	compressMin := flag.Int("compress-min", 0,
 		"with -batch: compress batch payloads at least this many encoded bytes (0 = off)")
-	codec := flag.Bool("codec", false,
-		"run the transport panels' TCP meshes over the binary wire codec (v4 frames, "+
-			"type-table handshake) instead of gob framing")
 	flag.Parse()
-
-	harness.CodecWire = *codec
 
 	if *wireDump != "" {
 		*wireLedger = true
@@ -304,16 +299,15 @@ var experiments = map[string]string{
 	"spmd-bcast":      "FINISH_SPMD spawning-tree broadcast sweep (pins the finish-control critical-path bucket)",
 	"transport":       "wire microbenchmark: small control frames over a local TCP mesh, unbatched",
 	"transport-batch": "wire microbenchmark: small control frames through per-link batching (≥3x gate)",
-	"transport-codec": "wire microbenchmark: batched small frames over codec framing (≥3x-vs-gob gate)",
 	"transport-large": "wire microbenchmark: 1 MiB payloads through the batching path",
-	"wire":            "wire observatory microbenchmark: per-message gob encode/decode ns through the ledger (lower is better)",
+	"wire":            "wire observatory microbenchmark: per-message encode/decode ns through the ledger (lower is better)",
 	"onesided":        "one-sided microbenchmark: 1 MiB AsyncCopyPut bandwidth through the v5 frame lane (≥50%-of-memcpy gate)",
 }
 
 // panelOrder is the series execution order for -exp all and -bench-json.
 var panelOrder = []string{
 	"hpl", "fft", "ra", "stream", "uts", "kmeans", "sw", "bc", "spmd-bcast",
-	"transport", "transport-batch", "transport-codec", "transport-large", "wire", "onesided",
+	"transport", "transport-batch", "transport-large", "wire", "onesided",
 }
 
 // panels maps -exp names to the harness series they regenerate.
@@ -329,7 +323,6 @@ var panels = map[string]func(harness.Scale) (harness.Series, error){
 	"spmd-bcast":      harness.SPMDBroadcastSeries,
 	"transport":       harness.TransportSmallSeries,
 	"transport-batch": harness.TransportSmallBatchSeries,
-	"transport-codec": harness.TransportCodecSeries,
 	"transport-large": harness.TransportLargeBatchSeries,
 	"wire":            harness.WireSeries,
 	"onesided":        harness.OneSidedSeries,

@@ -64,7 +64,8 @@ type barrierKey struct {
 	Src   int
 }
 
-// Wire message types (gob-encoded over TCP transports).
+// Wire message types: flat structs, so RegisterWireType gives each a
+// binary codec on TCP transports.
 type callMsg struct {
 	ID   uint64
 	Name string

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"apgas/internal/core"
+	"apgas/internal/obs"
 	"apgas/internal/x10rt"
 	"apgas/internal/x10rt/transporttest"
 )
@@ -29,8 +30,8 @@ import (
 //     writers — the model makes no global-order promise — yet every
 //     write is delivered exactly once to every reader.
 //
-// The message-pair halves run over all three transports (chan, TCP,
-// batching); the runtime halves use the in-process transports, since
+// The message-pair halves run over every transport (chan, TCP with and
+// without HLC stamps, batching); the runtime halves use the in-process transports, since
 // spawn bodies are closures and cannot cross a serializing wire.
 
 // litmusHandler is clear of the runtime range, transporttest, and the
@@ -54,20 +55,12 @@ func (m *litmusMesh) flush() {
 	}
 }
 
-// litmusMeshes builds the three wire shapes the suite must hold on:
-// in-process chan, a real serializing TCP mesh, and the batching wrapper
-// (over chan), whose coalescing must preserve per-link order.
-func litmusMeshes(t *testing.T, places int) map[string]*litmusMesh {
+// tcpLitmusMesh opens a loopback TCP mesh (v4 frames: the ordering
+// model must survive the type-table handshake riding the data stream).
+// With stamped set, every endpoint carries a distributed-tracing tracer,
+// so each frame also carries the sender's hybrid logical clock prefix.
+func tcpLitmusMesh(t *testing.T, places int, stamped bool) *litmusMesh {
 	t.Helper()
-	out := map[string]*litmusMesh{}
-
-	ch, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: places})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ch.Close() })
-	out["chan"] = &litmusMesh{places: places, ep: func(int) x10rt.Transport { return ch }, reg: ch.Register}
-
 	tcp, err := x10rt.NewLocalTCPMesh(places)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +70,14 @@ func litmusMeshes(t *testing.T, places int) map[string]*litmusMesh {
 			tr.Close()
 		}
 	})
-	out["tcp"] = &litmusMesh{
+	if stamped {
+		for _, tr := range tcp {
+			tc := obs.NewTracer()
+			tc.EnableDist(1)
+			tr.AttachTracer(tc)
+		}
+	}
+	return &litmusMesh{
 		places: places,
 		ep:     func(p int) x10rt.Transport { return tcp[p] },
 		reg: func(id x10rt.HandlerID, h x10rt.Handler) error {
@@ -89,6 +89,25 @@ func litmusMeshes(t *testing.T, places int) map[string]*litmusMesh {
 			return nil
 		},
 	}
+}
+
+// litmusMeshes builds the wire shapes the suite must hold on: in-process
+// chan, a real serializing TCP mesh, the same mesh with HLC-stamped
+// frames, and the batching wrapper (over chan), whose coalescing must
+// preserve per-link order.
+func litmusMeshes(t *testing.T, places int) map[string]*litmusMesh {
+	t.Helper()
+	out := map[string]*litmusMesh{}
+
+	ch, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: places})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ch.Close() })
+	out["chan"] = &litmusMesh{places: places, ep: func(int) x10rt.Transport { return ch }, reg: ch.Register}
+
+	out["tcp"] = tcpLitmusMesh(t, places, false)
+	out["tcp-codec"] = tcpLitmusMesh(t, places, true)
 
 	inner, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: places})
 	if err != nil {
@@ -100,30 +119,6 @@ func litmusMeshes(t *testing.T, places int) map[string]*litmusMesh {
 	})
 	t.Cleanup(func() { bt.Close() })
 	out["batch"] = &litmusMesh{places: places, ep: func(int) x10rt.Transport { return bt }, reg: bt.Register}
-
-	// The codec wire: v4 frames with per-connection type tables. The
-	// ordering model must survive the handshake riding the data stream.
-	ctcp, err := x10rt.NewLocalCodecTCPMesh(places)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for _, tr := range ctcp {
-			tr.Close()
-		}
-	})
-	out["tcp-codec"] = &litmusMesh{
-		places: places,
-		ep:     func(p int) x10rt.Transport { return ctcp[p] },
-		reg: func(id x10rt.HandlerID, h x10rt.Handler) error {
-			for _, tr := range ctcp {
-				if err := tr.Register(id, h); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}
 
 	return out
 }

@@ -21,13 +21,6 @@ import (
 // the runtime.
 var TransportFactory func(places int) (x10rt.Transport, error)
 
-// CodecWire, when true, switches the transport panels' TCP meshes from
-// gob framing to the binary wire codec (v4 frames with a per-connection
-// type-table handshake). apgas-bench sets it from -codec so the wire
-// panels can be rerun over the codec path; the dedicated codec series
-// (TransportCodecSeries) always uses the codec regardless.
-var CodecWire bool
-
 // transportPayload is the small-control-frame stand-in for the wire
 // microbenchmarks: the size class of a finish credit or a steal
 // request, the traffic §3.3's aggregation discipline exists for.
@@ -37,12 +30,10 @@ type transportPayload struct {
 }
 
 func init() {
-	x10rt.RegisterWireType(transportPayload{})
-	x10rt.RegisterWireType([]byte(nil))
 	// Hand-written binary codec for the microbenchmark payload: two
 	// little-endian uint32s, no reflection. This is the shape the codec
 	// speedup gate measures, so it takes the fast path a production
-	// control frame would.
+	// control frame would. ([]byte payloads have a built-in codec.)
 	x10rt.RegisterWireCodec(transportPayload{}, &x10rt.WireCodec{
 		Name: "harness:transportPayload",
 		Encode: func(dst []byte, v any) ([]byte, error) {
@@ -83,16 +74,10 @@ type transportRun struct {
 }
 
 // transportMesh builds a local TCP mesh — a real serializing wire, not
-// the in-process chan fast path — optionally with codec framing (v4
-// frames) and optionally wrapping every endpoint in a batching layer.
-func transportMesh(places int, batch, codec bool, compressMin int) ([]x10rt.Transport, func(), error) {
-	var mesh []*x10rt.TCPTransport
-	var err error
-	if codec {
-		mesh, err = x10rt.NewLocalCodecTCPMesh(places)
-	} else {
-		mesh, err = x10rt.NewLocalTCPMesh(places)
-	}
+// the in-process chan fast path — optionally wrapping every endpoint in
+// a batching layer.
+func transportMesh(places int, batch bool, compressMin int) ([]x10rt.Transport, func(), error) {
+	mesh, err := x10rt.NewLocalTCPMesh(places)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -126,8 +111,8 @@ func transportMesh(places int, batch, codec bool, compressMin int) ([]x10rt.Tran
 // x10rt.batch.* counters and histograms of a representative endpoint.
 // lg, when non-nil, is attached to every endpoint so the run's traffic
 // is cost-attributed (the wire observatory series).
-func runTransportMesh(places, perPlace int, batch, codec bool, compressMin, msgBytes int, lg *x10rt.WireLedger, payload func(seq int) any) (transportRun, error) {
-	eps, closeAll, err := transportMesh(places, batch, codec, compressMin)
+func runTransportMesh(places, perPlace int, batch bool, compressMin, msgBytes int, lg *x10rt.WireLedger, payload func(seq int) any) (transportRun, error) {
+	eps, closeAll, err := transportMesh(places, batch, compressMin)
 	if err != nil {
 		return transportRun{}, err
 	}
@@ -193,28 +178,31 @@ func runTransportMesh(places, perPlace int, batch, codec bool, compressMin, msgB
 	return run, nil
 }
 
+// smallFramePayload is the small-frame microbenchmarks' message body.
+func smallFramePayload(seq int) any { return transportPayload{Seq: int32(seq), Arg: int32(seq * 3)} }
+
 // runSmallFrames is the small-control-frame microbenchmark: the ≥3x
-// batching target of the wire-path overhaul — and, with codec framing,
-// the ≥3x codec-over-gob target — is measured on this shape.
-func runSmallFrames(places, perPlace int, batch, codec bool, compressMin int) (transportRun, error) {
-	return runTransportMesh(places, perPlace, batch, codec, compressMin, smallFrameBytes, nil,
-		func(seq int) any { return transportPayload{Seq: int32(seq), Arg: int32(seq * 3)} })
+// batching target of the wire-path overhaul and the ≥3x
+// codec-over-gob-fallback target are measured on this shape.
+func runSmallFrames(places, perPlace int, batch bool, compressMin int) (transportRun, error) {
+	return runTransportMesh(places, perPlace, batch, compressMin, smallFrameBytes, nil,
+		smallFramePayload)
 }
 
 // runLargeFrames is the bulk-data microbenchmark: 1 MiB payloads, where
 // batching must stay out of the way rather than win.
-func runLargeFrames(places, perPlace int, batch, codec bool, compressMin int) (transportRun, error) {
+func runLargeFrames(places, perPlace int, batch bool, compressMin int) (transportRun, error) {
 	buf := make([]byte, largeFrameBytes)
 	for i := range buf {
 		buf[i] = byte(i * 31)
 	}
-	return runTransportMesh(places, perPlace, batch, codec, compressMin, largeFrameBytes, nil,
+	return runTransportMesh(places, perPlace, batch, compressMin, largeFrameBytes, nil,
 		func(seq int) any { return buf })
 }
 
 // transportSmallSeries sweeps the small-frame microbenchmark over the
 // scale's place counts (from 2: one place has no wire).
-func transportSmallSeries(name string, batch, codec bool) func(Scale) (Series, error) {
+func transportSmallSeries(name string, batch bool) func(Scale) (Series, error) {
 	return func(s Scale) (Series, error) {
 		perPlace := map[Scale]int{Tiny: 3000, Small: 6000, Medium: 10000}[s]
 		out := Series{Name: name, AggregateUnit: "msg/s", PerUnitUnit: "msg/s/place"}
@@ -222,7 +210,7 @@ func transportSmallSeries(name string, batch, codec bool) func(Scale) (Series, e
 			if places < 2 {
 				continue
 			}
-			run, err := runSmallFrames(places, perPlace, batch, codec, 0)
+			run, err := runSmallFrames(places, perPlace, batch, 0)
 			if err != nil {
 				return out, err
 			}
@@ -243,34 +231,24 @@ func transportSmallSeries(name string, batch, codec bool) func(Scale) (Series, e
 }
 
 // TransportSmallSeries measures the unbatched wire path on small
-// control frames over a real local TCP mesh: one gob-framed write per
-// message, the pre-overhaul baseline the batching series is gated
+// control frames over a real local TCP mesh: one v4 frame and one
+// write per message, the baseline the batching series is gated
 // against.
 func TransportSmallSeries(s Scale) (Series, error) {
-	return transportSmallSeries("Transport small frames", false, CodecWire)(s)
+	return transportSmallSeries("Transport small frames", false)(s)
 }
 
 // TransportSmallBatchSeries is the same microbenchmark through the
-// batching wire path: per-link coalescing into shared-stream batch
-// frames. The committed BENCH artifacts must show it ≥3x the unbatched
-// series (see TestTransportBatchSpeedup, asserted by `make
-// bench-smoke`).
+// batching wire path: per-link coalescing into multi-record v4 frames.
+// It must run ≥3x the unbatched series (see TestTransportBatchSpeedup,
+// asserted by `make bench-smoke`).
 func TransportSmallBatchSeries(s Scale) (Series, error) {
-	return transportSmallSeries("Transport small frames (batched)", true, CodecWire)(s)
-}
-
-// TransportCodecSeries is the batched microbenchmark over codec
-// framing: v4 frames whose payloads travel as raw little-endian bytes
-// after the per-connection type-table handshake, no gob on the hot
-// path. The committed BENCH artifacts must show it ≥3x the gob batched
-// series (see TestCodecSpeedup, asserted by `make bench-smoke`).
-func TransportCodecSeries(s Scale) (Series, error) {
-	return transportSmallSeries("Transport small frames (codec)", true, true)(s)
+	return transportSmallSeries("Transport small frames (batched)", true)(s)
 }
 
 // WireSeries is the wire observatory microbenchmark: small control
 // frames through the batched TCP wire with a WireLedger attached, so
-// every message's gob encode/decode cost is attributed. The aggregate
+// every message's encode/decode cost is attributed. The aggregate
 // is encode ns per message and the per-unit column decode ns per
 // message — serialization cost, so lower is better (TimeBased), and
 // benchdiff flags a codec regression as such. The series also enforces
@@ -289,8 +267,8 @@ func WireSeries(s Scale) (Series, error) {
 			continue
 		}
 		lg := x10rt.NewWireLedger(places, nil)
-		run, err := runTransportMesh(places, perPlace, true, false, 0, smallFrameBytes, lg,
-			func(seq int) any { return transportPayload{Seq: int32(seq), Arg: int32(seq * 3)} })
+		run, err := runTransportMesh(places, perPlace, true, 0, smallFrameBytes, lg,
+			smallFramePayload)
 		if err != nil {
 			return out, err
 		}
@@ -331,7 +309,7 @@ func TransportLargeBatchSeries(s Scale) (Series, error) {
 		if places < 2 {
 			continue
 		}
-		run, err := runLargeFrames(places, perPlace, true, CodecWire, 0)
+		run, err := runLargeFrames(places, perPlace, true, 0)
 		if err != nil {
 			return out, err
 		}

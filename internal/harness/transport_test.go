@@ -1,31 +1,50 @@
 package harness
 
-import "testing"
+import (
+	"encoding/gob"
+	"testing"
+)
+
+// gobOnlyPayload has the shape of transportPayload but is registered
+// only with gob, so it rides the v4 frame's typeRef-0 gob fallback: the
+// reference TestCodecSpeedup measures the codec against.
+type gobOnlyPayload struct {
+	Seq int32
+	Arg int32
+}
+
+func init() { gob.Register(gobOnlyPayload{}) }
+
+// bestSmallFrameRate is the best-of-2 message rate of the 2-place
+// small-frame microbenchmark (4000 messages per place) with the given
+// payload; best-of-2 guards against scheduler noise.
+func bestSmallFrameRate(t *testing.T, batch bool, payload func(seq int) any) float64 {
+	t.Helper()
+	const places, perPlace = 2, 4000
+	rate := 0.0
+	for rep := 0; rep < 2; rep++ {
+		run, err := runTransportMesh(places, perPlace, batch, 0, smallFrameBytes, nil, payload)
+		if err != nil {
+			t.Fatalf("batch=%v: %v", batch, err)
+		}
+		if r := float64(run.msgs) / run.seconds; r > rate {
+			rate = r
+		}
+	}
+	return rate
+}
 
 // TestTransportBatchSpeedup is the wire-path overhaul's acceptance
 // gate, asserted by `make bench-smoke`: on the small-control-frame
 // microbenchmark over a real local TCP mesh, the batching transport
-// must deliver at least 3x the unbatched message rate. Measured
-// headroom is ~10x (shared-stream gob encoding amortizes type
-// descriptors; one write per batch), so 3x holds even on a loaded
-// machine; best-of-2 guards against scheduler noise.
+// must deliver at least 3x the unbatched message rate. Both sides
+// write v4 frames with the hand-written payload codec; batching wins by
+// amortizing the frame header, the type-table section, the write lock
+// and the syscall over many records. Measured 3.0–8.1x (median ~5x)
+// on a loaded 2-CPU host, so this gate sits close to its bar.
 func TestTransportBatchSpeedup(t *testing.T) {
-	const places, perPlace = 2, 4000
-	best := func(batch bool) float64 {
-		rate := 0.0
-		for rep := 0; rep < 2; rep++ {
-			run, err := runSmallFrames(places, perPlace, batch, false, 0)
-			if err != nil {
-				t.Fatalf("batch=%v: %v", batch, err)
-			}
-			if r := float64(run.msgs) / run.seconds; r > rate {
-				rate = r
-			}
-		}
-		return rate
-	}
-	unbatched := best(false)
-	batched := best(true)
+	unbatched := bestSmallFrameRate(t, false, smallFramePayload)
+	batched := bestSmallFrameRate(t, true, smallFramePayload)
 	ratio := batched / unbatched
 	t.Logf("small frames: unbatched %.0f msg/s, batched %.0f msg/s (%.1fx)",
 		unbatched, batched, ratio)
@@ -37,34 +56,21 @@ func TestTransportBatchSpeedup(t *testing.T) {
 
 // TestCodecSpeedup is the zero-copy wire codec's acceptance gate,
 // asserted by `make bench-smoke`: on the batched small-control-frame
-// microbenchmark over a real local TCP mesh, codec framing (v4, raw
-// little-endian payloads after the type-table handshake) must deliver
-// at least 3x the gob batch frame message rate. The payload has a
-// hand-written codec, so the per-message cost is two fixed-width loads
-// against gob's reflective stream; best-of-2 guards against scheduler
-// noise on a loaded (or 1 vCPU) machine.
+// microbenchmark over a real local TCP mesh, a payload with a
+// hand-written codec (raw little-endian after the type-table
+// handshake) must deliver at least 3x the message rate of the same
+// shape registered only with gob, which rides the typeRef-0 fallback
+// with a fresh gob encoder per message.
 func TestCodecSpeedup(t *testing.T) {
-	const places, perPlace = 2, 4000
-	best := func(codec bool) float64 {
-		rate := 0.0
-		for rep := 0; rep < 2; rep++ {
-			run, err := runSmallFrames(places, perPlace, true, codec, 0)
-			if err != nil {
-				t.Fatalf("codec=%v: %v", codec, err)
-			}
-			if r := float64(run.msgs) / run.seconds; r > rate {
-				rate = r
-			}
-		}
-		return rate
-	}
-	gobRate := best(false)
-	codecRate := best(true)
+	gobRate := bestSmallFrameRate(t, true, func(seq int) any {
+		return gobOnlyPayload{Seq: int32(seq), Arg: int32(seq * 3)}
+	})
+	codecRate := bestSmallFrameRate(t, true, smallFramePayload)
 	ratio := codecRate / gobRate
-	t.Logf("batched small frames: gob %.0f msg/s, codec %.0f msg/s (%.1fx)",
+	t.Logf("batched small frames: gob fallback %.0f msg/s, codec %.0f msg/s (%.1fx)",
 		gobRate, codecRate, ratio)
 	if ratio < 3 {
-		t.Errorf("codec speedup %.2fx < 3x (gob %.0f msg/s, codec %.0f msg/s)",
+		t.Errorf("codec speedup %.2fx < 3x (gob fallback %.0f msg/s, codec %.0f msg/s)",
 			ratio, gobRate, codecRate)
 	}
 }
@@ -112,10 +118,6 @@ func TestTransportSeriesShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec, err := TransportCodecSeries(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
 	large, err := TransportLargeBatchSeries(Tiny)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +126,7 @@ func TestTransportSeriesShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Series{small, batched, codec, large, onesided} {
+	for _, s := range []Series{small, batched, large, onesided} {
 		if len(s.Points) == 0 {
 			t.Fatalf("%s: no points", s.Name)
 		}

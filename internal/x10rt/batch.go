@@ -3,6 +3,7 @@ package x10rt
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -70,10 +71,10 @@ func (o *BatchOptions) fill() {
 type flushReason uint8
 
 const (
-	flushIdle flushReason = iota // link was idle; latency wins
-	flushSize                    // frame or byte threshold reached
-	flushAged                    // background flusher found an aged queue
-	flushExplicit                // Flush / Quiesce / Close forced it
+	flushIdle     flushReason = iota // link was idle; latency wins
+	flushSize                        // frame or byte threshold reached
+	flushAged                        // background flusher found an aged queue
+	flushExplicit                    // Flush / Quiesce / Close forced it
 	numFlushReasons
 )
 
@@ -82,8 +83,8 @@ const (
 // proper (x10rt.msgs.*, x10rt.bytes.*) stay with the inner transport:
 // batching changes how messages travel, not how many there are.
 type batchMetrics struct {
-	batches obs.Counter                 // batches forwarded
-	msgs    obs.Counter                 // messages carried by those batches
+	batches obs.Counter // batches forwarded
+	msgs    obs.Counter // messages carried by those batches
 	reasons [numFlushReasons]obs.Counter
 	frames  obs.Histogram // messages per batch
 	bytes   obs.Histogram // modeled bytes per batch
@@ -121,6 +122,10 @@ func (m *batchMetrics) attach(r *obs.Registry) {
 // invariant), so holding sendMu across inner sends cannot re-enter.
 type batchLink struct {
 	sendMu sync.Mutex
+	// spare is the queue array of the previous flush, cleared and handed
+	// back to q on the next one, so a loaded link stops regrowing its
+	// queue from nil every batch. Guarded by sendMu.
+	spare []BatchMsg
 
 	mu      sync.Mutex
 	q       []BatchMsg
@@ -158,8 +163,10 @@ type BatchingTransport struct {
 	n     int
 	links []*batchLink // n*n, indexed src*n+dst
 
-	mirror   map[HandlerID]struct{} // ids registered through this wrapper
-	mirrorMu sync.RWMutex
+	// mirror holds the ids registered through this wrapper: a snapshot
+	// Send reads per message, replaced by Register under mirrorMu.
+	mirror   atomic.Pointer[map[HandlerID]struct{}]
+	mirrorMu sync.Mutex
 
 	bs BatchSender // inner's batch fast path, nil when unsupported
 	bm batchMetrics
@@ -181,9 +188,9 @@ func NewBatchingTransport(inner Transport, opts BatchOptions) *BatchingTransport
 		opts:      opts,
 		n:         n,
 		links:     make([]*batchLink, n*n),
-		mirror:    make(map[HandlerID]struct{}),
 		stop:      make(chan struct{}),
 	}
+	t.mirror.Store(&map[HandlerID]struct{}{})
 	for i := range t.links {
 		// lastNs far in the past so the first send on every link takes
 		// the idle fast path.
@@ -227,7 +234,9 @@ func (t *BatchingTransport) Register(id HandlerID, h Handler) error {
 		return err
 	}
 	t.mirrorMu.Lock()
-	t.mirror[id] = struct{}{}
+	m := maps.Clone(*t.mirror.Load())
+	m[id] = struct{}{}
+	t.mirror.Store(&m)
 	t.mirrorMu.Unlock()
 	return nil
 }
@@ -245,10 +254,7 @@ func (t *BatchingTransport) Send(src, dst int, id HandlerID, payload any, bytes 
 	if src < 0 || src >= t.n || dst < 0 || dst >= t.n {
 		return fmt.Errorf("%w: src=%d dst=%d n=%d", ErrBadPlace, src, dst, t.n)
 	}
-	t.mirrorMu.RLock()
-	_, ok := t.mirror[id]
-	t.mirrorMu.RUnlock()
-	if !ok {
+	if _, ok := (*t.mirror.Load())[id]; !ok {
 		return fmt.Errorf("%w: id=%d", ErrNoHandler, id)
 	}
 	if err := t.deadEnd(src, dst); err != nil {
@@ -326,14 +332,15 @@ func (t *BatchingTransport) flushLink(l *batchLink, src, dst int, why flushReaso
 
 	l.mu.Lock()
 	q := l.q
-	qBytes := l.qBytes
-	firstNs := l.firstNs
-	l.q = nil
-	l.qBytes = 0
-	l.mu.Unlock()
 	if len(q) == 0 {
+		l.mu.Unlock()
 		return nil
 	}
+	qBytes := l.qBytes
+	firstNs := l.firstNs
+	l.q, l.spare = l.spare, nil
+	l.qBytes = 0
+	l.mu.Unlock()
 
 	t.bm.batches.Inc()
 	t.bm.msgs.Add(uint64(len(q)))
@@ -351,6 +358,12 @@ func (t *BatchingTransport) flushLink(l *batchLink, src, dst int, why flushReaso
 		lg.RecordQueueWait(src, dst, d)
 	}
 
+	// Every inner send copies what it keeps, so q's array is free for
+	// the next batch once they return.
+	defer func() {
+		clear(q)
+		l.spare = q[:0]
+	}()
 	if t.bs != nil && len(q) > 1 {
 		return t.bs.SendBatch(src, dst, q, t.opts.CompressMin)
 	}

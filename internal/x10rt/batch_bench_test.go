@@ -75,7 +75,7 @@ func (m *benchMesh) run(b *testing.B, payload any, bytes int, flush func()) {
 }
 
 // BenchmarkTCPSmallFrames is the unbatched baseline for small control
-// frames: one gob encoder, one frame, one write syscall per message.
+// frames: one v4 frame and one write syscall per message.
 func BenchmarkTCPSmallFrames(b *testing.B) {
 	m, closeAll := newBenchMesh(b, false, BatchOptions{})
 	defer closeAll()
@@ -83,9 +83,9 @@ func BenchmarkTCPSmallFrames(b *testing.B) {
 }
 
 // BenchmarkTCPSmallFramesBatched is the same workload through the
-// BatchingTransport: many messages per frame, one shared gob stream,
-// one write syscall per batch. The acceptance gate for the wire fast
-// path is >= 3x the unbatched msgs/s (see TestTransportBatchSpeedup).
+// BatchingTransport: many messages per v4 frame, one write syscall per
+// batch. The acceptance gate for the wire fast path is >= 3x the
+// unbatched msgs/s (see TestTransportBatchSpeedup).
 func BenchmarkTCPSmallFramesBatched(b *testing.B) {
 	m, closeAll := newBenchMesh(b, true, BatchOptions{MaxDelay: 200 * time.Microsecond, MaxFrames: 64})
 	defer closeAll()

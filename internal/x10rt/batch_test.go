@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// encodeTestBatch builds the BatchMsg slice and encoded batch frame for
-// codec tests.
+// encodeTestBatch builds the BatchMsg slice and encoded v4 frame for
+// frame tests.
 func encodeTestBatch(t *testing.T, n int, payloadBytes, compressMin int) ([]BatchMsg, []byte) {
 	t.Helper()
 	msgs := make([]BatchMsg, n)
@@ -22,31 +22,25 @@ func encodeTestBatch(t *testing.T, n int, payloadBytes, compressMin int) ([]Batc
 			Class:   ControlClass,
 		}
 	}
-	frame, err := appendBatchFrame(nil, 3, msgs, compressMin)
-	if err != nil {
-		t.Fatalf("appendBatchFrame: %v", err)
-	}
-	return msgs, frame
+	return msgs, encodeV4(t, &typeTableSender{}, 3, msgs, compressMin, 0, false)
 }
 
 func TestBatchFrameRoundTrip(t *testing.T) {
 	for _, compressMin := range []int{0, 1} {
 		t.Run(fmt.Sprintf("compressMin=%d", compressMin), func(t *testing.T) {
 			msgs, frame := encodeTestBatch(t, 17, 24, compressMin)
-			version, payload, err := readVersionedFrame(bytes.NewReader(frame))
+			r := bytes.NewReader(frame)
+			version, n, err := readFrameHeader(r)
 			if err != nil {
-				t.Fatalf("readVersionedFrame: %v", err)
+				t.Fatalf("readFrameHeader: %v", err)
 			}
-			if version != batchVersion {
-				t.Fatalf("version = %d, want %d", version, batchVersion)
+			if version != batchVersionCodec || n != r.Len() {
+				t.Fatalf("version = %d, length %d; want %d, %d", version, n, batchVersionCodec, r.Len())
 			}
-			if compressMin > 0 && payload[0]&batchFlagCompressed == 0 {
+			if compressMin > 0 && frame[frameHeaderSize]&batchFlagCompressed == 0 {
 				t.Error("compressible batch was not compressed")
 			}
-			got, err := decodeBatchPayload(payload)
-			if err != nil {
-				t.Fatalf("decodeBatchPayload: %v", err)
-			}
+			got, _ := decodeV4(t, &typeTableReceiver{}, frame)
 			if len(got) != len(msgs) {
 				t.Fatalf("decoded %d messages, want %d", len(got), len(msgs))
 			}
@@ -73,20 +67,20 @@ func TestBatchFrameCompressionShrinks(t *testing.T) {
 func TestDecodeBatchRejectsCorruption(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":            {},
-		"zero-count":       {0x00, 0x00},
-		"bad-flags":        {0x04, 0x01},
+		"zero-count":       {0x00, 0x00, 0x00, 0x00},
+		"bad-flags":        {0x04, 0x00, 0x00, 0x01},
 		"oversized-rawlen": {0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00},
 		"flate-garbage":    append([]byte{0x01, 0x20}, []byte("this is not a deflate stream")...),
-		"count-gt-body":    {0x00, 0xff, 0xff, 0x03},
+		"count-gt-body":    {0x00, 0x00, 0x00, 0xff, 0xff, 0x03},
 	}
 	for name, payload := range cases {
-		if _, err := decodeBatchPayload(payload); err == nil {
+		if _, _, err := decodeCodecBatchPayloadLG(payload, &typeTableReceiver{}, nil, 1); err == nil {
 			t.Errorf("%s: decode accepted corrupt payload", name)
 		}
 	}
 	// Torn batch: a valid frame with the tail cut off must error, not panic.
 	_, frame := encodeTestBatch(t, 4, 16, 0)
-	if _, err := decodeBatchPayload(frame[frameHeaderSize : len(frame)-3]); err == nil {
+	if _, _, err := decodeCodecBatchPayloadLG(frame[frameHeaderSize:len(frame)-3], &typeTableReceiver{}, nil, 1); err == nil {
 		t.Error("torn batch decoded without error")
 	}
 }

@@ -11,21 +11,21 @@ import (
 
 // This file is the binary payload codec of the wire path: raw
 // little-endian encoding for the hot frame shapes (control structs,
-// []byte, fixed-width numeric slices), replacing gob on the frames
-// where PR 9's wire ledger measured serialization as the dominant
-// per-message cost. The codec is strictly an encoding of *values*: the
-// mapping from payload type to codec is established per connection by
-// the type-table handshake (typetable.go) riding batch-frame v4
-// (codecframe.go), so frames carry a small integer where gob carries a
-// type descriptor. Types without a registered codec still travel,
-// gob-encoded, inside the same v4 frame (type ref 0), so enabling the
-// codec never restricts what a transport can carry.
+// []byte, fixed-width numeric slices), where the wire ledger measured
+// gob serialization as the dominant per-message cost. The codec is
+// strictly an encoding of *values*: the mapping from payload type to
+// codec is established per connection by the type-table handshake
+// (typetable.go) riding frame v4 (codecframe.go), so frames carry a
+// small integer where gob carries a type descriptor. Types without a
+// registered codec still travel, gob-encoded, inside the same v4 frame
+// (type ref 0), so the codec never restricts what a transport can
+// carry.
 //
 // Decode fast paths may alias the frame buffer ([]byte payloads are
 // sub-slices of it, never copies). That is safe because the TCP read
 // loop allocates a fresh buffer per frame and hands each message to
-// its handler before reading the next frame; handlers own their
-// payload exactly as they do on the gob path.
+// its handler before reading the next frame, so handlers own their
+// payload.
 
 // WireCodec is one payload type's binary codec. Encode appends the
 // value's encoding to dst and returns the extended slice; Decode
@@ -61,8 +61,8 @@ func init() {
 // RegisterWireCodec registers a hand-written binary codec for the
 // concrete type of sample. Like RegisterWireType it must be called
 // with identical (name, type) pairs in every process of the mesh
-// before any Send carrying the type over a codec-enabled transport;
-// the receiving side resolves type-table entries by name.
+// before any Send carrying the type over TCP; the receiving side
+// resolves type-table entries by name.
 func RegisterWireCodec(sample any, c *WireCodec) {
 	if c == nil || c.Name == "" || c.Encode == nil || c.Decode == nil {
 		panic("x10rt: RegisterWireCodec needs a name, an encoder and a decoder")
@@ -360,15 +360,16 @@ func fromBits[T fixedWidth](b uint64) T {
 // struct type using a compiled reflection plan: exported fields of
 // bool, integer, float, string, []byte, or fixed-width numeric slice
 // type, encoded in declaration order (variable-length fields carry a
-// uvarint length prefix). It is the convenience path for control
-// payloads that want to leave gob without a hand-written codec; truly
-// hot types should implement one by hand (see harness/transporttest).
-// Returns an error for unsupported shapes — the caller then simply
-// stays on the gob fallback.
+// uvarint length prefix; an empty slice decodes as nil, as under gob).
+// RegisterWireType calls it first, so flat payloads leave gob without
+// a hand-written codec; truly hot types should implement one by hand
+// (see harness/transport.go). Returns an error for unsupported shapes
+// (nested structs, maps, pointers, interfaces, unexported fields,
+// unnamed types) — the caller then stays on the gob fallback.
 func RegisterBinaryStruct(sample any) error {
 	rt := reflect.TypeOf(sample)
-	if rt == nil || rt.Kind() != reflect.Struct {
-		return fmt.Errorf("x10rt: RegisterBinaryStruct wants a struct, got %T", sample)
+	if rt == nil || rt.Kind() != reflect.Struct || rt.Name() == "" {
+		return fmt.Errorf("x10rt: RegisterBinaryStruct wants a named struct, got %T", sample)
 	}
 	plan, err := buildStructPlan(rt)
 	if err != nil {
@@ -544,6 +545,9 @@ func (p *structPlan) decode(data []byte) (any, error) {
 				return nil, fmt.Errorf("%w: struct slice length", ErrFrameCorrupt)
 			}
 			data = data[c:]
+			if n == 0 {
+				continue
+			}
 			sl := reflect.MakeSlice(f.typ, int(n), int(n))
 			for i := 0; i < int(n); i++ {
 				var bits uint64

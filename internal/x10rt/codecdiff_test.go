@@ -1,24 +1,19 @@
 package x10rt
 
 import (
-	"encoding/binary"
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // Differential codec battery: every payload the generator produces must
-// round-trip through the v4 binary codec frame and through the v2 gob
-// frame to the same value — the codec is an encoding change, never a
-// semantic one. A second battery pins mixed-version interop: gob-era
-// frames (v1/v2/v3) decoded by a codec-capable endpoint and v4 frames
-// decoded by a gob-era endpoint, including over a live asymmetric TCP
-// mesh.
+// round-trip through the v4 frame to the same value a self-contained gob
+// encoding of it yields — the codec is an encoding change, never a
+// semantic one, and gob is the oracle.
 
 // diffGobOnly has no registered codec: it exercises the typeRef-0 gob
 // fallback inside v4 frames.
@@ -81,10 +76,14 @@ func genPayload(rng *rand.Rand) any {
 		}
 		return s
 	case 10:
+		var vals []float64 // an empty slice decodes as nil, as under gob
+		for k := rng.Intn(3); k > 0; k-- {
+			vals = append(vals, rng.NormFloat64())
+		}
 		return diffBin{
 			X:    rng.Uint64(),
 			Name: fmt.Sprintf("bin-%d", rng.Intn(1000)),
-			Vals: []float64{rng.NormFloat64(), rng.NormFloat64()},
+			Vals: vals,
 			On:   rng.Intn(2) == 0,
 		}
 	default:
@@ -96,11 +95,12 @@ func genPayload(rng *rand.Rand) any {
 	}
 }
 
-// encodeV4 renders msgs as one v4 frame and returns the full frame bytes.
-func encodeV4(t *testing.T, tt *typeTableSender, msgs []BatchMsg, compressMin int, hlc uint64, hlcOn bool) []byte {
+// encodeV4 renders msgs (sent by src) as one v4 frame and returns the
+// full frame bytes.
+func encodeV4(t *testing.T, tt *typeTableSender, src int, msgs []BatchMsg, compressMin int, hlc uint64, hlcOn bool) []byte {
 	t.Helper()
 	stage := make([]byte, 0, 1024)
-	segs, wireLen, err := appendCodecBatchFrame(&stage, 0, 1, msgs, compressMin, hlc, hlcOn, tt, nil)
+	segs, wireLen, err := appendCodecBatchFrame(&stage, src, 1, msgs, compressMin, hlc, hlcOn, tt, nil)
 	if err != nil {
 		t.Fatalf("appendCodecBatchFrame: %v", err)
 	}
@@ -127,18 +127,23 @@ func decodeV4(t *testing.T, ttr *typeTableReceiver, frame []byte) ([]wireMsg, ui
 	return msgs, hlc
 }
 
-// encodeV2 renders msgs as one v2 gob batch frame.
-func encodeV2(t *testing.T, msgs []BatchMsg, compressMin int) []byte {
+// gobRoundTrip is the oracle: v through one self-contained gob
+// encoding, boxed so interface payloads keep their concrete type.
+func gobRoundTrip(t *testing.T, v any) any {
 	t.Helper()
-	frame, err := appendBatchFrameV(nil, batchVersion, 0, msgs, compressMin, 0, nil, 1)
-	if err != nil {
-		t.Fatalf("appendBatchFrameV: %v", err)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&gobPayload{V: v}); err != nil {
+		t.Fatalf("gob encode %T: %v", v, err)
 	}
-	return frame
+	var box gobPayload
+	if err := gob.NewDecoder(&buf).Decode(&box); err != nil {
+		t.Fatalf("gob decode %T: %v", v, err)
+	}
+	return box.V
 }
 
-// TestCodecDifferential: randomized batches, encoded through both wire
-// generations, must decode value-for-value identical.
+// TestCodecDifferential: randomized batches through the v4 frame must
+// decode value-for-value identical to the gob oracle.
 func TestCodecDifferential(t *testing.T) {
 	const rounds = 200
 	rng := rand.New(rand.NewSource(0x10c0dec))
@@ -164,150 +169,77 @@ func TestCodecDifferential(t *testing.T) {
 
 		// The type table is per-connection state: the same sender/receiver
 		// pair persists across rounds, like frames on one TCP stream.
-		binMsgs, binHLC := decodeV4(t, ttr, encodeV4(t, tts, msgs, compressMin, hlc, hlcOn))
-		gobMsgs, err := decodeBatchPayloadLG(encodeV2(t, msgs, compressMin)[frameHeaderSize:], nil, 1)
-		if err != nil {
-			t.Fatalf("round %d: decode v2: %v", round, err)
+		got, gotHLC := decodeV4(t, ttr, encodeV4(t, tts, 0, msgs, compressMin, hlc, hlcOn))
+		if hlcOn && gotHLC != hlc {
+			t.Fatalf("round %d: hlc = %d, want %d", round, gotHLC, hlc)
 		}
-
-		if hlcOn && binHLC != hlc {
-			t.Fatalf("round %d: hlc = %d, want %d", round, binHLC, hlc)
+		if !hlcOn && gotHLC != 0 {
+			t.Fatalf("round %d: hlc = %d without the flag", round, gotHLC)
 		}
-		if !hlcOn && binHLC != 0 {
-			t.Fatalf("round %d: hlc = %d without the flag", round, binHLC)
+		if len(got) != n {
+			t.Fatalf("round %d: %d msgs, want %d", round, len(got), n)
 		}
-		if len(binMsgs) != n || len(gobMsgs) != n {
-			t.Fatalf("round %d: %d binary / %d gob msgs, want %d", round, len(binMsgs), len(gobMsgs), n)
-		}
-		for i := range msgs {
-			b, g := binMsgs[i], gobMsgs[i]
-			if b.ID != g.ID || b.Class != g.Class || b.Bytes != g.Bytes || b.Src != g.Src {
-				t.Fatalf("round %d msg %d: metadata diverged: binary %+v gob %+v", round, i, b, g)
+		for i, m := range msgs {
+			b := got[i]
+			if b.ID != m.ID || b.Class != m.Class || b.Bytes != m.Bytes || b.Src != 0 {
+				t.Fatalf("round %d msg %d: metadata diverged: decoded %+v sent %+v", round, i, b, m)
 			}
-			if !reflect.DeepEqual(b.Payload, g.Payload) {
+			if oracle := gobRoundTrip(t, m.Payload); !reflect.DeepEqual(b.Payload, oracle) {
 				t.Fatalf("round %d msg %d (%T): binary %#v != gob %#v",
-					round, i, msgs[i].Payload, b.Payload, g.Payload)
+					round, i, m.Payload, b.Payload, oracle)
 			}
-			if !reflect.DeepEqual(b.Payload, msgs[i].Payload) {
+			if !reflect.DeepEqual(b.Payload, m.Payload) {
 				t.Fatalf("round %d msg %d (%T): decoded %#v != sent %#v",
-					round, i, msgs[i].Payload, b.Payload, msgs[i].Payload)
+					round, i, m.Payload, b.Payload, m.Payload)
 			}
 		}
 	}
 }
 
-// TestCodecMixedVersionDecode: one endpoint's decode loop accepts every
-// frame generation on the same stream — v2 and v3 gob batches
-// interleaved with v4 codec batches, in any order, sharing one receiver
-// type table.
-func TestCodecMixedVersionDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+// wireFlat and wireNested are registered only through RegisterWireType:
+// the flat one qualifies for a binary struct codec, the nested one
+// (struct and map fields) must fall back to gob.
+type wireFlat struct {
+	ID   uint64
+	Name string
+	Arg  []byte
+}
+
+type wireNested struct {
+	Inner wirePayload
+	M     map[string]int
+}
+
+func init() {
+	RegisterWireType(wireFlat{})
+	RegisterWireType(wireNested{})
+}
+
+// TestRegisterWireTypeChoosesCodec pins RegisterWireType's split: a flat
+// struct is announced in the type table and sent under a ref >= 1, a
+// nested or map-field struct rides typeRef 0 — and both round-trip.
+func TestRegisterWireTypeChoosesCodec(t *testing.T) {
+	flat := wireFlat{ID: 7, Name: "rpc", Arg: []byte{1, 2, 3}}
+	nested := wireNested{Inner: wirePayload{Value: 4, Tag: "in"}, M: map[string]int{"k": 9}}
+	if !HasWireCodec(flat) {
+		t.Fatal("flat struct has no binary codec after RegisterWireType")
+	}
+	if HasWireCodec(nested) {
+		t.Fatal("nested struct got a binary codec")
+	}
 	tts := &typeTableSender{}
-	ttr := &typeTableReceiver{}
-	for round := 0; round < 60; round++ {
-		msgs := []BatchMsg{{
-			ID:      UserHandlerBase,
-			Payload: genPayload(rng),
-			Bytes:   64,
-			Class:   DataClass,
-		}}
-		var got []wireMsg
-		switch round % 3 {
-		case 0: // v2 gob frame into a codec-capable decode switch
-			frame := encodeV2(t, msgs, 0)
-			var err error
-			got, err = decodeBatchPayloadLG(frame[frameHeaderSize:], nil, 1)
-			if err != nil {
-				t.Fatalf("round %d: v2 decode: %v", round, err)
-			}
-		case 1: // v3 traced gob frame
-			frame, err := appendBatchFrameV(nil, batchVersionTraced, 0, msgs, 0, 7, nil, 1)
-			if err != nil {
-				t.Fatalf("round %d: encode v3: %v", round, err)
-			}
-			body := frame[frameHeaderSize:]
-			hlc, n := binary.Uvarint(body)
-			if n <= 0 || hlc != 7 {
-				t.Fatalf("round %d: v3 hlc = %d (n=%d)", round, hlc, n)
-			}
-			got, err = decodeBatchPayloadLG(body[n:], nil, 1)
-			if err != nil {
-				t.Fatalf("round %d: v3 decode: %v", round, err)
-			}
-		default: // v4 codec frame
-			got, _ = decodeV4(t, ttr, encodeV4(t, tts, msgs, 0, 0, false))
-		}
-		if len(got) != 1 || !reflect.DeepEqual(got[0].Payload, msgs[0].Payload) {
-			t.Fatalf("round %d: decoded %#v, want %#v", round, got, msgs[0].Payload)
-		}
+	frame := encodeV4(t, tts, 0, []BatchMsg{
+		{ID: UserHandlerBase, Payload: flat, Bytes: 8, Class: DataClass},
+		{ID: UserHandlerBase, Payload: nested, Bytes: 8, Class: DataClass},
+	}, 0, 0, false)
+	if ref := tts.ids["struct:apgas/internal/x10rt.wireFlat"]; ref < 1 {
+		t.Errorf("flat struct type ref = %d, want >= 1 (table %v)", ref, tts.ids)
 	}
-}
-
-// TestCodecMixedVersionMesh runs a live asymmetric TCP pair: place 0
-// speaks v4 (codec), place 1 speaks gob. Both directions must deliver —
-// decode is version-driven, not option-driven, so old and new endpoints
-// interoperate during a rolling upgrade.
-func TestCodecMixedVersionMesh(t *testing.T) {
-	listeners := make([]net.Listener, 2)
-	addrs := make([]string, 2)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
+	if len(tts.ids) != 1 {
+		t.Errorf("type table %v, want only the flat struct announced", tts.ids)
 	}
-	mesh := []*TCPTransport{
-		newTCPWithListener(TCPOptions{Place: 0, Addrs: addrs, Codec: true}, listeners[0]),
-		newTCPWithListener(TCPOptions{Place: 1, Addrs: addrs, Codec: false}, listeners[1]),
-	}
-	t.Cleanup(func() {
-		for _, tr := range mesh {
-			tr.Close()
-		}
-	})
-
-	type recv struct {
-		src     int
-		payload any
-	}
-	ch := make(chan recv, 16)
-	for _, tr := range mesh {
-		if err := tr.Register(UserHandlerBase+200, func(src, dst int, payload any) {
-			ch <- recv{src, payload}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	want0to1 := []uint64{1, 2, 3}
-	if err := mesh[0].Send(0, 1, UserHandlerBase+200, want0to1, 24, DataClass); err != nil {
-		t.Fatalf("codec->gob send: %v", err)
-	}
-	want1to0 := diffBin{X: 9, Name: "up", Vals: []float64{1.5}, On: true}
-	if err := mesh[1].Send(1, 0, UserHandlerBase+200, want1to0, 24, DataClass); err != nil {
-		t.Fatalf("gob->codec send: %v", err)
-	}
-
-	seen := 0
-	timeout := time.After(10 * time.Second)
-	for seen < 2 {
-		select {
-		case r := <-ch:
-			seen++
-			switch r.src {
-			case 0:
-				if !reflect.DeepEqual(r.payload, want0to1) {
-					t.Errorf("v4 frame at gob endpoint: %#v, want %#v", r.payload, want0to1)
-				}
-			case 1:
-				if !reflect.DeepEqual(r.payload, want1to0) {
-					t.Errorf("gob frame at codec endpoint: %#v, want %#v", r.payload, want1to0)
-				}
-			}
-		case <-timeout:
-			t.Fatalf("mixed mesh delivered %d/2 messages", seen)
-		}
+	got, _ := decodeV4(t, &typeTableReceiver{}, frame)
+	if len(got) != 2 || !reflect.DeepEqual(got[0].Payload, flat) || !reflect.DeepEqual(got[1].Payload, nested) {
+		t.Fatalf("decoded %#v, want %#v and %#v", got, flat, nested)
 	}
 }

@@ -8,11 +8,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 )
 
-// Batch-frame v4: the codec batch. Shares the outer header with every
-// other frame version and carries, per frame, the connection's new
-// type-table announcements followed by binary-encoded messages:
+// Frame v4: the codec batch, the only frame that carries active
+// messages. It shares the outer header with the one-sided frame
+// (frame.go) and carries, per frame, the connection's new type-table
+// announcements followed by binary-encoded messages. A single Send is
+// a batch of one; BatchingTransport coalesces many into one frame.
 //
 //	+-------+-----------+----------------------+---------+-----------+
 //	| magic | version=4 | length (4 bytes, BE) | flags   | body      |
@@ -31,10 +34,12 @@ import (
 //	    uvarint(typeRef) | uvarint(payloadLen) | payload
 //
 // typeRef 0 is the gob fallback: the payload is a self-contained gob
-// encoding of a gobPayload box, so arbitrary registered types still
-// travel inside a codec batch. typeRef >= 1 indexes the connection's
-// type table (typetable.go) and the payload is the named codec's raw
-// little-endian encoding.
+// encoding of a gobPayload box, so any gob-registered type still
+// travels. It pays a fresh gob encoder per message, which is why
+// RegisterWireType puts flat structs on the binary codec. typeRef >= 1
+// indexes the connection's type table (typetable.go) and the payload
+// is the named codec's raw little-endian encoding. rawLen is validated
+// against MaxFrameSize before the decompressed body is allocated.
 //
 // The encoder emits scatter-gather segments (net.Buffers): payloads of
 // at least codecZeroCopyMin bytes whose codec appends them verbatim
@@ -45,14 +50,61 @@ import (
 const (
 	// batchVersionCodec marks a codec batch frame.
 	batchVersionCodec = 4
-	// codecFlagHLC marks a body with an HLC prefix (v4's equivalent of
-	// frame version 3).
+	// batchFlagCompressed marks a DEFLATE-compressed body.
+	batchFlagCompressed = 0x01
+	// codecFlagHLC marks a body with the sender's hybrid logical clock
+	// prefix, set only while distributed tracing is enabled.
 	codecFlagHLC = 0x02
+	// maxBatchCount bounds the declared message count of a batch before
+	// any decoding work is done. Batches are flushed well below this by
+	// the byte and frame limits; a larger count is corruption.
+	maxBatchCount = 1 << 20
 	// codecZeroCopyMin is the payload size from which a []byte payload
 	// is shipped by reference (writev) instead of copied into the
 	// staging buffer.
 	codecZeroCopyMin = 4 << 10
 )
+
+// bufPool recycles scratch buffers (gob fallback, compression) so the
+// steady-state send path does not allocate per batch.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuf() *bytes.Buffer {
+	b := bufPool.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+func putBuf(b *bytes.Buffer) {
+	// Oversized buffers (a 1 MiB payload passed through) are dropped
+	// rather than pinned in the pool forever.
+	if b.Cap() <= 1<<20 {
+		bufPool.Put(b)
+	}
+}
+
+// framePool recycles encoded-frame byte slices. It pools *[]byte (not
+// bytes.Buffer) because frames are built with append: the grown slice
+// is stored back, so steady-state encoding reuses one array per P.
+var framePool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4096)
+	return &b
+}}
+
+func getFrameBuf() *[]byte { return framePool.Get().(*[]byte) }
+
+func putFrameBuf(b *[]byte) {
+	if cap(*b) <= 1<<20 {
+		framePool.Put(b)
+	}
+}
+
+// flateWriterPool recycles DEFLATE compressors, whose construction cost
+// (window allocation) dwarfs small-batch compression itself.
+var flateWriterPool = sync.Pool{New: func() any {
+	w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
+	return w
+}}
 
 // gobPayload boxes a fallback payload so the gob stream is
 // self-contained per message (types the codec does not know still

@@ -7,28 +7,26 @@ import (
 	"io"
 )
 
-// This file is the wire framing of the TCP transport. Messages used to be
-// gob-encoded directly onto the connection as one long stream, which made
-// the decoder's state an invisible shared resource: a single corrupt byte
-// desynchronized everything after it, and a hostile or buggy peer could
-// make the decoder allocate without bound. Frames make every message
-// self-contained and bound the damage:
+// This file is the outer framing of the TCP transport. Every frame on a
+// connection opens with the same six-byte header:
 //
 //	+-------+---------+----------------------+----------------+
 //	| magic | version | length (4 bytes, BE) | payload        |
 //	+-------+---------+----------------------+----------------+
 //
-// The payload is a self-contained gob encoding of one wireMsg (each frame
-// carries its own type information). The length field is validated against
-// MaxFrameSize before any allocation, so a corrupt header costs at most a
-// rejected connection, never memory. The codec is fuzzed (frame_fuzz_test.go)
-// with the corpus committed under testdata/fuzz.
+// Two versions exist: 4, the codec batch (codecframe.go), which carries
+// active messages, and 5, the one-sided frame (onesided.go), which
+// carries RDMA-style puts, gets and remote atomics. The length field is
+// validated against MaxFrameSize before any allocation, so a corrupt
+// header costs at most a rejected connection, never memory; any other
+// version tears the connection down. The decoders are fuzzed
+// (codec_fuzz_test.go, frame_fuzz_test.go) with the corpora
+// committed under testdata/fuzz.
 
 const (
-	// frameMagic and frameVersion open every frame; a mismatch means the
-	// stream is desynchronized or the peer speaks another protocol.
-	frameMagic   = 0xA7
-	frameVersion = 1
+	// frameMagic opens every frame; a mismatch means the stream is
+	// desynchronized or the peer speaks another protocol.
+	frameMagic = 0xA7
 	// frameHeaderSize is magic + version + 4-byte big-endian length.
 	frameHeaderSize = 6
 	// MaxFrameSize bounds a frame's payload. Runtime control messages are
@@ -40,66 +38,23 @@ const (
 // ErrFrameCorrupt is returned when a frame header fails validation.
 var ErrFrameCorrupt = errors.New("x10rt: corrupt frame")
 
-// AppendFrame appends payload wrapped in a frame header to dst and
-// returns the extended slice. It fails only when payload exceeds
-// MaxFrameSize.
-func AppendFrame(dst, payload []byte) ([]byte, error) {
-	if len(payload) > MaxFrameSize {
-		return dst, fmt.Errorf("%w: payload %d exceeds max %d", ErrFrameCorrupt, len(payload), MaxFrameSize)
-	}
-	dst = append(dst, frameMagic, frameVersion, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(dst[len(dst)-4:], uint32(len(payload)))
-	return append(dst, payload...), nil
-}
-
-// DecodeFrame parses one frame from the front of b, returning its payload
-// and the remaining bytes. io.ErrUnexpectedEOF signals a truncated but
-// otherwise well-formed prefix (read more and retry); ErrFrameCorrupt
-// signals an unrecoverable stream.
-func DecodeFrame(b []byte) (payload, rest []byte, err error) {
-	if len(b) < frameHeaderSize {
-		return nil, b, io.ErrUnexpectedEOF
-	}
-	if b[0] != frameMagic {
-		return nil, b, fmt.Errorf("%w: bad magic 0x%02x", ErrFrameCorrupt, b[0])
-	}
-	if b[1] != frameVersion {
-		return nil, b, fmt.Errorf("%w: unsupported version %d", ErrFrameCorrupt, b[1])
-	}
-	n := binary.BigEndian.Uint32(b[2:6])
-	if n > MaxFrameSize {
-		return nil, b, fmt.Errorf("%w: length %d exceeds max %d", ErrFrameCorrupt, n, MaxFrameSize)
-	}
-	if uint32(len(b)-frameHeaderSize) < n {
-		return nil, b, io.ErrUnexpectedEOF
-	}
-	return b[frameHeaderSize : frameHeaderSize+int(n)], b[frameHeaderSize+int(n):], nil
-}
-
-// ReadFrame reads exactly one frame from r and returns its payload. The
-// header is validated before the payload is allocated, so a corrupt
-// length can never trigger an oversized allocation.
-func ReadFrame(r io.Reader) ([]byte, error) {
+// readFrameHeader reads and validates one frame header from r,
+// returning the frame's version and payload length. Only versions 4
+// and 5 are accepted.
+func readFrameHeader(r io.Reader) (version byte, n int, err error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	if hdr[0] != frameMagic {
-		return nil, fmt.Errorf("%w: bad magic 0x%02x", ErrFrameCorrupt, hdr[0])
+		return 0, 0, fmt.Errorf("%w: bad magic 0x%02x", ErrFrameCorrupt, hdr[0])
 	}
-	if hdr[1] != frameVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrFrameCorrupt, hdr[1])
+	if hdr[1] != batchVersionCodec && hdr[1] != frameVersionOneSided {
+		return 0, 0, fmt.Errorf("%w: unsupported version %d", ErrFrameCorrupt, hdr[1])
 	}
-	n := binary.BigEndian.Uint32(hdr[2:6])
-	if n > MaxFrameSize {
-		return nil, fmt.Errorf("%w: length %d exceeds max %d", ErrFrameCorrupt, n, MaxFrameSize)
+	length := binary.BigEndian.Uint32(hdr[2:6])
+	if length > MaxFrameSize {
+		return 0, 0, fmt.Errorf("%w: length %d exceeds max %d", ErrFrameCorrupt, length, MaxFrameSize)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return payload, nil
+	return hdr[1], int(length), nil
 }

@@ -2,8 +2,6 @@ package x10rt
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -22,20 +20,15 @@ type TCPOptions struct {
 	// Addrs lists the listen address of every place, indexed by place.
 	// Addrs[Place] is the address this endpoint listens on.
 	Addrs []string
-	// Codec switches outbound frames from gob (v1/v2/v3) to the binary
-	// codec batch format (v4): payload types with a registered WireCodec
-	// (RegisterWireCodec) travel as raw little-endian bytes after a
-	// per-connection type-table handshake; everything else rides the gob
-	// fallback inside the same frame. Every endpoint decodes all
-	// versions regardless, so a codec mesh can be rolled out one
-	// endpoint at a time.
-	Codec bool
 }
 
 // TCPTransport is a socket-based Transport standing in for X10RT's
 // PAMI/sockets backends. Each place runs one endpoint; endpoints connect
-// lazily on first send. Payloads are gob-encoded, so applications must
-// register concrete payload types with RegisterWireType before sending.
+// lazily on first send. Active messages travel as v4 codec frames
+// (codecframe.go) and one-sided ops as v5 frames (onesided.go); no other
+// frame version is written or accepted. Applications must register
+// concrete payload types with RegisterWireType (or RegisterWireCodec)
+// before sending.
 //
 // Unlike ChanTransport, a TCPTransport value represents a single place; a
 // full mesh consists of one TCPTransport per place (usually one per
@@ -52,14 +45,13 @@ type TCPTransport struct {
 	conns  map[int]*tcpConn // outbound, keyed by dst
 	closed bool
 
-	// tr, when attached, stamps outgoing batch frames with this place's
-	// hybrid logical clock (frame version 3) and folds inbound stamps
-	// back in — but only while the tracer has distributed tracing
-	// enabled; otherwise the wire format is byte-identical to version 2.
+	// tr, when attached, stamps outgoing frames with this place's hybrid
+	// logical clock (codecFlagHLC) and folds inbound stamps back in —
+	// but only while the tracer has distributed tracing enabled.
 	tr atomic.Pointer[obs.Tracer]
 
 	// lg, when attached, attributes every message to its handler and
-	// link, with gob encode/decode timings (see WireLedger).
+	// link, with encode/decode timings (see WireLedger).
 	lg atomic.Pointer[WireLedger]
 
 	// writeq gauges the endpoint's write backpressure: the number of
@@ -81,15 +73,13 @@ type TCPTransport struct {
 type tcpConn struct {
 	mu sync.Mutex
 	c  net.Conn
-	// tt is the outbound type table (codec mode). Guarded by mu: ids
-	// must be assigned in the exact order frames hit the wire.
+	// tt is the outbound type table. Guarded by mu: ids must be
+	// assigned in the exact order frames hit the wire.
 	tt typeTableSender
 }
 
-// wireMsg is the on-the-wire message format. Each message travels as one
-// frame (see frame.go) whose payload is a self-contained gob encoding of
-// the wireMsg, so a receiver can validate and decode every message
-// independently — no shared decoder state to desynchronize.
+// wireMsg is one decoded active message, as a v4 record carries it
+// plus the frame's source place.
 type wireMsg struct {
 	Src     int
 	ID      HandlerID
@@ -98,46 +88,18 @@ type wireMsg struct {
 	Payload any
 }
 
-// encodeWireMsg renders m as one framed, self-contained gob message.
-func encodeWireMsg(m *wireMsg) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(m); err != nil {
-		return nil, err
+// RegisterWireType registers a concrete payload type for the TCP wire.
+// A flat struct (the shapes RegisterBinaryStruct accepts) gets a binary
+// codec and travels under a type-table ref; any other type is
+// registered with gob and rides the v4 gob fallback (typeRef 0), which
+// pays a gob encoder per message. It must be called (with identical
+// types) in every process of the mesh before any Send carrying that
+// type.
+func RegisterWireType(v any) {
+	if RegisterBinaryStruct(v) != nil {
+		gob.Register(v)
 	}
-	return AppendFrame(nil, payload.Bytes())
 }
-
-// appendWireMsg is the pooled-buffer variant of encodeWireMsg used on
-// the send hot path: the gob payload is staged in a pooled scratch
-// buffer and framed directly into dst, so a steady-state send performs
-// no frame-sized allocations of its own.
-func appendWireMsg(dst []byte, m *wireMsg) ([]byte, error) {
-	payload := getBuf()
-	defer putBuf(payload)
-	if err := gob.NewEncoder(payload).Encode(m); err != nil {
-		return dst, err
-	}
-	return AppendFrame(dst, payload.Bytes())
-}
-
-// decodeWireMsg decodes one frame payload. Frame payloads can arrive from
-// another process (or a fuzzer), and gob's decoder reports some malformed
-// inputs by panicking; the recover converts any such panic into an error
-// so a corrupt peer can only cost its own connection.
-func decodeWireMsg(payload []byte) (m wireMsg, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("x10rt: wire decode panic: %v", r)
-		}
-	}()
-	err = gob.NewDecoder(bytes.NewReader(payload)).Decode(&m)
-	return m, err
-}
-
-// RegisterWireType registers a concrete payload type for gob encoding.
-// It must be called (with identical types) in every process of the mesh
-// before any Send carrying that type.
-func RegisterWireType(v any) { gob.Register(v) }
 
 // NewTCPTransport creates a TCP endpoint and starts its listener and
 // dispatcher. The other endpoints need not be up yet; connections are
@@ -157,16 +119,6 @@ func NewTCPTransport(opts TCPOptions) (*TCPTransport, error) {
 // system-assigned ports. It is intended for tests and single-machine
 // multi-endpoint experiments.
 func NewLocalTCPMesh(n int) ([]*TCPTransport, error) {
-	return newLocalTCPMesh(n, false)
-}
-
-// NewLocalCodecTCPMesh is NewLocalTCPMesh with the binary wire codec
-// enabled on every endpoint (TCPOptions.Codec).
-func NewLocalCodecTCPMesh(n int) ([]*TCPTransport, error) {
-	return newLocalTCPMesh(n, true)
-}
-
-func newLocalTCPMesh(n int, codec bool) ([]*TCPTransport, error) {
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -182,10 +134,13 @@ func newLocalTCPMesh(n int, codec bool) ([]*TCPTransport, error) {
 	}
 	mesh := make([]*TCPTransport, n)
 	for i := 0; i < n; i++ {
-		mesh[i] = newTCPWithListener(TCPOptions{Place: i, Addrs: addrs, Codec: codec}, listeners[i])
+		mesh[i] = newTCPWithListener(TCPOptions{Place: i, Addrs: addrs}, listeners[i])
 	}
 	return mesh, nil
 }
+
+// Deprecated: every TCP mesh speaks the binary codec; use NewLocalTCPMesh.
+func NewLocalCodecTCPMesh(n int) ([]*TCPTransport, error) { return NewLocalTCPMesh(n) }
 
 func newTCPWithListener(opts TCPOptions, ln net.Listener) *TCPTransport {
 	t := &TCPTransport{
@@ -224,7 +179,6 @@ func (t *TCPTransport) Send(src, dst int, id HandlerID, payload any, bytes int, 
 	if p := t.deaths.deadEnd(src, dst); p >= 0 {
 		return &PlaceDeadError{Place: p}
 	}
-	m := wireMsg{Src: src, ID: id, Class: class, Bytes: bytes, Payload: payload}
 	if dst == t.opts.Place {
 		t.mu.Lock()
 		closed := t.closed
@@ -232,7 +186,7 @@ func (t *TCPTransport) Send(src, dst int, id HandlerID, payload any, bytes int, 
 		if closed {
 			return ErrClosed
 		}
-		t.loop <- m
+		t.loop <- wireMsg{Src: src, ID: id, Class: class, Bytes: bytes, Payload: payload}
 		if countable(id) {
 			t.ctrs.add(class, bytes)
 			t.egress.add(class, bytes)
@@ -247,67 +201,26 @@ func (t *TCPTransport) Send(src, dst int, id HandlerID, payload any, bytes int, 
 		}
 		return nil
 	}
-	lg := t.lg.Load()
-	if t.opts.Codec {
-		one := [1]BatchMsg{{ID: id, Payload: payload, Bytes: bytes, Class: class}}
-		wireLen, err := t.writeCodecBatch(src, dst, one[:], 0)
-		if err != nil {
-			return err
-		}
-		if countable(id) {
-			t.ctrs.add(class, bytes)
-			t.egress.add(class, bytes)
-			t.ctrs.addWire(wireLen)
-			t.egress.addWire(wireLen)
-			if lg != nil {
-				lg.RecordSend(src, dst, id, bytes)
-				lg.RecordWire(src, dst, wireLen)
-			}
-		}
-		return nil
-	}
-	fp := getFrameBuf()
-	defer putFrameBuf(fp)
-	var t0 int64
-	if lg != nil {
-		t0 = wireNow()
-	}
-	frame, err := appendWireMsg((*fp)[:0], &m)
-	if lg != nil {
-		lg.RecordEncode(src, id, wireNow()-t0)
-	}
-	*fp = frame[:0]
-	if err != nil {
-		return fmt.Errorf("x10rt: encode for %d: %w", dst, err)
-	}
-	conn, err := t.connTo(dst)
+	one := [1]BatchMsg{{ID: id, Payload: payload, Bytes: bytes, Class: class}}
+	wireLen, err := t.writeCodecBatch(src, dst, one[:], 0)
 	if err != nil {
 		return err
-	}
-	t.writeq.Add(1)
-	conn.mu.Lock()
-	_, err = conn.c.Write(frame)
-	conn.mu.Unlock()
-	t.writeq.Add(-1)
-	if err != nil {
-		t.dropConn(dst, conn)
-		return fmt.Errorf("x10rt: send to %d: %w", dst, err)
 	}
 	if countable(id) {
 		t.ctrs.add(class, bytes)
 		t.egress.add(class, bytes)
-		t.ctrs.addWire(len(frame))
-		t.egress.addWire(len(frame))
-		if lg != nil {
+		t.ctrs.addWire(wireLen)
+		t.egress.addWire(wireLen)
+		if lg := t.lg.Load(); lg != nil {
 			lg.RecordSend(src, dst, id, bytes)
-			lg.RecordWire(src, dst, len(frame))
+			lg.RecordWire(src, dst, wireLen)
 		}
 	}
 	return nil
 }
 
-// SendBatch implements BatchSender: msgs travel as one version-2 batch
-// frame — a single gob stream, a single write syscall, and at most one
+// SendBatch implements BatchSender: msgs travel as one v4 frame — a
+// single type-table section, a single write syscall, and at most one
 // compression pass — instead of len(msgs) individual frames. Messages
 // are delivered at dst in slice order. Wire bytes are counted once for
 // the whole frame; the per-class counters still see every message.
@@ -335,68 +248,36 @@ func (t *TCPTransport) SendBatch(src, dst int, msgs []BatchMsg, compressMin int)
 		}
 		return nil
 	}
-	lg := t.lg.Load()
-	if t.opts.Codec {
-		wireLen, err := t.writeCodecBatch(src, dst, msgs, compressMin)
-		if err != nil {
-			return err
-		}
-		for i := range msgs {
-			if countable(msgs[i].ID) {
-				t.ctrs.add(msgs[i].Class, msgs[i].Bytes)
-				t.egress.add(msgs[i].Class, msgs[i].Bytes)
-				if lg != nil {
-					lg.RecordSend(src, dst, msgs[i].ID, msgs[i].Bytes)
-				}
-			}
-		}
-		t.ctrs.addWire(wireLen)
-		t.egress.addWire(wireLen)
-		lg.RecordWire(src, dst, wireLen)
-		return nil
-	}
-	fp := getFrameBuf()
-	defer putFrameBuf(fp)
-	var frame []byte
-	var err error
-	if tr := t.tr.Load(); tr != nil && tr.DistEnabled() {
-		frame, err = appendBatchFrameV((*fp)[:0], batchVersionTraced, src, msgs, compressMin, tr.HLCTick(src), lg, dst)
-	} else {
-		frame, err = appendBatchFrameV((*fp)[:0], batchVersion, src, msgs, compressMin, 0, lg, dst)
-	}
-	*fp = frame[:0]
-	if err != nil {
-		return fmt.Errorf("x10rt: batch encode for %d: %w", dst, err)
-	}
-	conn, err := t.connTo(dst)
+	wireLen, err := t.writeCodecBatch(src, dst, msgs, compressMin)
 	if err != nil {
 		return err
 	}
-	t.writeq.Add(1)
-	conn.mu.Lock()
-	_, err = conn.c.Write(frame)
-	conn.mu.Unlock()
-	t.writeq.Add(-1)
-	if err != nil {
-		t.dropConn(dst, conn)
-		return fmt.Errorf("x10rt: batch send to %d: %w", dst, err)
-	}
+	// Sum per class first: one atomic add per class and counter for the
+	// frame, not per message — the reader goroutine updates ctrs too.
+	var n, b [numClasses]uint64
+	lg := t.lg.Load()
 	for i := range msgs {
-		if countable(msgs[i].ID) {
-			t.ctrs.add(msgs[i].Class, msgs[i].Bytes)
-			t.egress.add(msgs[i].Class, msgs[i].Bytes)
+		if m := &msgs[i]; countable(m.ID) {
+			n[m.Class]++
+			b[m.Class] += uint64(m.Bytes)
 			if lg != nil {
-				lg.RecordSend(src, dst, msgs[i].ID, msgs[i].Bytes)
+				lg.RecordSend(src, dst, m.ID, m.Bytes)
 			}
 		}
 	}
-	t.ctrs.addWire(len(frame))
-	t.egress.addWire(len(frame))
-	lg.RecordWire(src, dst, len(frame))
+	for c := range n {
+		if n[c] > 0 {
+			t.ctrs.addN(Class(c), n[c], b[c])
+			t.egress.addN(Class(c), n[c], b[c])
+		}
+	}
+	t.ctrs.addWire(wireLen)
+	t.egress.addWire(wireLen)
+	lg.RecordWire(src, dst, wireLen)
 	return nil
 }
 
-// writeCodecBatch encodes msgs as one v4 codec frame and writes it with
+// writeCodecBatch encodes msgs as one v4 frame and writes it with
 // a single scatter-gather syscall. Encoding runs under the connection's
 // write lock: type-table ids must be assigned in the exact order frames
 // hit the wire or the receiver would bind them to the wrong codecs. Any
@@ -432,8 +313,8 @@ func (t *TCPTransport) writeCodecBatch(src, dst int, msgs []BatchMsg, compressMi
 }
 
 // dropConn closes and forgets an outbound connection whose stream state
-// can no longer be trusted (failed write, or a codec frame that died
-// after mutating the type table). The next send to dst redials.
+// can no longer be trusted (failed write, or a frame that died after
+// mutating the type table). The next send to dst redials.
 func (t *TCPTransport) dropConn(dst int, conn *tcpConn) {
 	t.mu.Lock()
 	if t.conns[dst] == conn {
@@ -487,75 +368,35 @@ func (t *TCPTransport) read(nc net.Conn) {
 	// new-types sections of inbound v4 frames.
 	ttr := &typeTableReceiver{}
 	for {
-		// The header is read and validated here (not via
-		// readVersionedFrame) because v5 one-sided frames are parsed
-		// streaming: their data section is read directly into the target
-		// arena window, never into an intermediate payload slice.
-		var hdr [frameHeaderSize]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		// v5 one-sided frames are parsed streaming: their data section
+		// is read directly into the target arena window, never into an
+		// intermediate payload slice.
+		version, n, err := readFrameHeader(br)
+		if err != nil {
 			return
 		}
-		if hdr[0] != frameMagic {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr[2:6])
-		if n > MaxFrameSize {
-			return
-		}
-		version := hdr[1]
 		if version == frameVersionOneSided {
-			if err := t.readOneSided(br, int(n)); err != nil {
+			if err := t.readOneSided(br, n); err != nil {
 				return
 			}
 			continue
-		}
-		switch version {
-		case frameVersion, batchVersion, batchVersionTraced, batchVersionCodec:
-		default:
-			return
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return
 		}
-		lg := t.lg.Load()
-		if version != frameVersion {
-			var msgs []wireMsg
-			var hlc uint64
-			var err error
-			switch version {
-			case batchVersionTraced:
-				msgs, hlc, err = decodeTracedBatchPayloadLG(payload, lg, t.opts.Place)
-			case batchVersionCodec:
-				msgs, hlc, err = decodeCodecBatchPayloadLG(payload, ttr, lg, t.opts.Place)
-			default:
-				msgs, err = decodeBatchPayloadLG(payload, lg, t.opts.Place)
-			}
-			if err != nil {
-				return
-			}
-			if hlc != 0 {
-				if tr := t.tr.Load(); tr != nil {
-					tr.HLCObserve(t.opts.Place, hlc)
-				}
-			}
-			for i := range msgs {
-				t.dispatch(&msgs[i])
-			}
-			continue
-		}
-		var t0 int64
-		if lg != nil {
-			t0 = wireNow()
-		}
-		m, err := decodeWireMsg(payload)
+		msgs, hlc, err := decodeCodecBatchPayloadLG(payload, ttr, t.lg.Load(), t.opts.Place)
 		if err != nil {
 			return
 		}
-		if lg != nil {
-			lg.RecordRecv(t.opts.Place, m.ID, wireNow()-t0)
+		if hlc != 0 {
+			if tr := t.tr.Load(); tr != nil {
+				tr.HLCObserve(t.opts.Place, hlc)
+			}
 		}
-		t.dispatch(&m)
+		for i := range msgs {
+			t.dispatch(&msgs[i])
+		}
 	}
 }
 
@@ -805,8 +646,8 @@ func (t *TCPTransport) AttachMetrics(r *obs.Registry) {
 	r.RegisterGauge("x10rt.tcp.writeq", &t.writeq)
 }
 
-// AttachTracer wires a tracer into the endpoint so batch frames carry
-// HLC stamps (frame version 3) while distributed tracing is enabled.
+// AttachTracer wires a tracer into the endpoint so v4 frames carry HLC
+// stamps while distributed tracing is enabled.
 // Safe to call at any time; nil detaches.
 func (t *TCPTransport) AttachTracer(tr *obs.Tracer) { t.tr.Store(tr) }
 

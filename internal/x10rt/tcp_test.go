@@ -154,10 +154,10 @@ func TestTCPErrors(t *testing.T) {
 	}
 }
 
-// TestTCPGobWriteFailureRedials pins the gob send paths' handling of a
-// broken outbound connection: the send that hits it fails, the
-// connection is dropped, and the next send redials and delivers.
-func TestTCPGobWriteFailureRedials(t *testing.T) {
+// TestTCPWriteFailureRedials pins the send paths' handling of a broken
+// outbound connection: the send that hits it fails, the connection is
+// dropped, and the next send redials and delivers.
+func TestTCPWriteFailureRedials(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		msgs int // messages one send delivers

@@ -1,33 +1,20 @@
 package x10rt
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// TestTracedBatchRoundTrip exercises the version-3 (HLC-stamped) batch
-// frame codec end to end.
+// TestTracedBatchRoundTrip exercises the HLC-stamped v4 frame end to
+// end.
 func TestTracedBatchRoundTrip(t *testing.T) {
 	msgs := []BatchMsg{
 		{ID: HandlerFinishCtl, Class: ControlClass, Bytes: 16, Payload: "ctl"},
 		{ID: HandlerSpawn, Class: DataClass, Bytes: 64, Payload: "spawn"},
 	}
 	const hlc = uint64(0xABCDE) << 16
-	frame, err := appendTracedBatchFrame(nil, 2, msgs, 0, hlc)
-	if err != nil {
-		t.Fatalf("appendTracedBatchFrame: %v", err)
+	frame := encodeV4(t, &typeTableSender{}, 2, msgs, 0, hlc, true)
+	if frame[frameHeaderSize]&codecFlagHLC == 0 {
+		t.Fatal("traced frame lacks the HLC flag")
 	}
-	version, payload, err := readVersionedFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatalf("readVersionedFrame: %v", err)
-	}
-	if version != batchVersionTraced {
-		t.Fatalf("version = %d, want %d", version, batchVersionTraced)
-	}
-	got, gotHLC, err := decodeTracedBatchPayload(payload)
-	if err != nil {
-		t.Fatalf("decodeTracedBatchPayload: %v", err)
-	}
+	got, gotHLC := decodeV4(t, &typeTableReceiver{}, frame)
 	if gotHLC != hlc {
 		t.Fatalf("hlc = %#x, want %#x", gotHLC, hlc)
 	}
@@ -41,23 +28,23 @@ func TestTracedBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUntracedBatchStaysVersion2 pins the compatibility contract: without
-// an HLC the frame is byte-identical to the version-2 encoding, so peers
-// that predate tracing still decode it.
-func TestUntracedBatchStaysVersion2(t *testing.T) {
+// TestUntracedBatchOmitsHLC pins the tracing-off wire: no HLC flag and
+// no clock prefix, so tracing costs nothing on the wire when disabled.
+func TestUntracedBatchOmitsHLC(t *testing.T) {
 	msgs := []BatchMsg{{ID: HandlerSpawn, Class: DataClass, Bytes: 8, Payload: "x"}}
-	v2, err := appendBatchFrame(nil, 1, msgs, 0)
-	if err != nil {
-		t.Fatalf("appendBatchFrame: %v", err)
+	plain := encodeV4(t, &typeTableSender{}, 1, msgs, 0, 0, false)
+	traced := encodeV4(t, &typeTableSender{}, 1, msgs, 0, 1, true)
+	if plain[frameHeaderSize] != 0 {
+		t.Fatalf("untraced flags = %#x, want 0", plain[frameHeaderSize])
 	}
-	if v2[1] != batchVersion {
-		t.Fatalf("version byte = %d, want %d", v2[1], batchVersion)
+	if len(traced) != len(plain)+1 {
+		t.Fatalf("traced frame %dB, untraced %dB: want exactly one HLC byte more", len(traced), len(plain))
 	}
 }
 
 func TestTracedBatchCorruptHLCPrefix(t *testing.T) {
 	// A truncated/overlong uvarint prefix must be rejected, not panic.
-	if _, _, err := decodeTracedBatchPayload([]byte{0x80}); err == nil {
-		t.Fatal("decodeTracedBatchPayload accepted a truncated HLC prefix")
+	if _, _, err := decodeCodecBatchPayloadLG([]byte{codecFlagHLC, 0x80}, &typeTableReceiver{}, nil, 1); err == nil {
+		t.Fatal("decodeCodecBatchPayloadLG accepted a truncated HLC prefix")
 	}
 }

@@ -12,8 +12,9 @@
 //     fault and disorder injection (per-message delay, reordering) so the
 //     termination-detection protocols can be exercised under the network
 //     reordering hazards that motivated their design.
-//   - TCPTransport: a socket transport with gob-serialized active
-//     messages, standing in for the PAMI/sockets backends of X10RT.
+//   - TCPTransport: a socket transport with one frame format per lane
+//     (v4 codec frames for active messages, v5 for one-sided ops),
+//     standing in for the PAMI/sockets backends of X10RT.
 //
 // Every implementation, concrete or decorator, provides the whole
 // Transport contract: point-to-point active messages, the one-sided
@@ -26,7 +27,9 @@ package x10rt
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"apgas/internal/obs"
 )
@@ -214,6 +217,11 @@ type deathState struct {
 	mu   sync.Mutex
 	fns  []func(dead, observer int)
 	dead map[int]bool
+	// nDead counts the dead set. While it is zero — a healthy mesh —
+	// the per-message liveness checks skip the lock, whose cache line
+	// would otherwise bounce between an endpoint's sender and reader on
+	// every message.
+	nDead atomic.Int32
 }
 
 func (d *deathState) subscribe(fn func(dead, observer int)) {
@@ -223,6 +231,9 @@ func (d *deathState) subscribe(fn func(dead, observer int)) {
 }
 
 func (d *deathState) isDead(p int) bool {
+	if d.nDead.Load() == 0 {
+		return false
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.dead[p]
@@ -230,6 +241,9 @@ func (d *deathState) isDead(p int) bool {
 
 // deadEnd returns the dead endpoint of the (src, dst) link, or -1.
 func (d *deathState) deadEnd(src, dst int) int {
+	if d.nDead.Load() == 0 {
+		return -1
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.dead[dst] {
@@ -253,6 +267,7 @@ func (d *deathState) kill(p int) bool {
 		return false
 	}
 	d.dead[p] = true
+	d.nDead.Add(1)
 	return true
 }
 
@@ -399,9 +414,12 @@ type counters struct {
 	wire  obs.Counter // on-the-wire bytes (post-batch, post-compression)
 }
 
-func (c *counters) add(class Class, bytes int) {
-	c.msgs[class].Inc()
-	c.bytes[class].Add(uint64(bytes))
+func (c *counters) add(class Class, bytes int) { c.addN(class, 1, uint64(bytes)) }
+
+// addN records n messages of one class totalling bytes.
+func (c *counters) addN(class Class, n, bytes uint64) {
+	c.msgs[class].Add(n)
+	c.bytes[class].Add(bytes)
 }
 
 // addWire records n bytes actually written to the wire. It is kept
@@ -433,14 +451,18 @@ func (c *counters) attach(r *obs.Registry) {
 	r.RegisterCounter("x10rt.bytes.wire", &c.wire)
 }
 
-// handlerTable is a registration table shared by transport implementations.
+// handlerTable is a registration table shared by transport
+// implementations. Lookups, one per delivered message, read an
+// immutable snapshot; register, called at setup, replaces it.
 type handlerTable struct {
-	mu sync.RWMutex
-	m  map[HandlerID]Handler
+	mu sync.Mutex // serializes register
+	m  atomic.Pointer[map[HandlerID]Handler]
 }
 
 func newHandlerTable() *handlerTable {
-	return &handlerTable{m: make(map[HandlerID]Handler)}
+	t := &handlerTable{}
+	t.m.Store(&map[HandlerID]Handler{})
+	return t
 }
 
 func (t *handlerTable) register(id HandlerID, h Handler) error {
@@ -449,16 +471,16 @@ func (t *handlerTable) register(id HandlerID, h Handler) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, dup := t.m[id]; dup {
+	m := maps.Clone(*t.m.Load())
+	if _, dup := m[id]; dup {
 		return fmt.Errorf("x10rt: handler %d already registered", id)
 	}
-	t.m[id] = h
+	m[id] = h
+	t.m.Store(&m)
 	return nil
 }
 
 func (t *handlerTable) lookup(id HandlerID) (Handler, bool) {
-	t.mu.RLock()
-	h, ok := t.m[id]
-	t.mu.RUnlock()
+	h, ok := (*t.m.Load())[id]
 	return h, ok
 }

@@ -27,7 +27,8 @@ import (
 )
 
 // Payload is the message body the suite sends. It is registered as a
-// gob wire type so serializing transports can carry it.
+// wire type (a flat struct, so it rides the binary codec) so
+// serializing transports can carry it.
 type Payload struct {
 	Seq int
 	Tag string

@@ -75,9 +75,9 @@ type lkey struct {
 type handlerAccount struct {
 	msgs     obs.Counter // messages sent naming this handler
 	bytes    obs.Counter // modeled payload bytes sent
-	encNs    obs.Counter // cumulative serialization (gob encode) ns
+	encNs    obs.Counter // cumulative serialization (encode) ns
 	recvMsgs obs.Counter // messages received for this handler
-	decNs    obs.Counter // cumulative deserialization (gob decode) ns
+	decNs    obs.Counter // cumulative deserialization (decode) ns
 }
 
 // linkAccount accumulates one (src → dst) cell.
