@@ -19,8 +19,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The x10rt Transport contract: the conformance, death and one-sided
-# batteries against every transport and decorator stack, under -race.
+# The x10rt Transport contract: the conformance (including byte and
+# per-link accounting), death and one-sided batteries against every
+# transport and decorator stack, under -race.
 contract:
 	$(GO) test -race ./internal/x10rt/transporttest
 
@@ -71,9 +72,11 @@ dtrace:
 # Cross-place telemetry smoke: a 4-place run under the Power 775 latency
 # model whose aggregated message counts must equal the sum of the four
 # per-place transport stats (the binary exits nonzero on mismatch), plus
-# a flight-recorder dump validated by tracecheck. The second run repeats
-# the check over the batching wire path with compression enabled: the
-# sum equality — wire bytes included — must survive coalescing.
+# a flight-recorder dump validated by tracecheck. Stats and PlaceStats
+# are views of one link table, so the check guards the gather and merge
+# path, not two copies of the counts. The second run repeats the check
+# over the batching wire path with compression enabled: the sum
+# equality — wire bytes included — must survive coalescing.
 telemetry:
 	$(GO) run ./cmd/apgas-bench -exp telemetry -places 4 -netsim -metrics-all \
 		-flight-dump /tmp/apgas-flight.jsonl

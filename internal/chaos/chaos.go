@@ -187,10 +187,11 @@ type link struct {
 // KillPlace and Close. Everything else passes through unchanged:
 //
 //   - Handlers are registered on the inner transport.
-//   - Traffic accounting is the inner transport's, so the telemetry
-//     plane's sum-equality invariant (Stats == Σ PlaceStats) holds
-//     across the wrapper: dropped messages are counted nowhere,
-//     duplicated messages twice, consistently on both sides.
+//   - Traffic accounting is the inner transport's link table, counted
+//     when a message is forwarded: dropped messages are counted
+//     nowhere, duplicated ones twice, and Stats, PlaceStats and Links
+//     stay views of that one table (so Stats == Σ PlaceStats holds
+//     across the wrapper).
 //   - An attached wire ledger observes what the inner transport
 //     actually carries, so held messages are attributed only once
 //     forwarded, and attribution never influences a fault decision.

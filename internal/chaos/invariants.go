@@ -87,12 +87,7 @@ func CheckRuntime(rt *core.Runtime) []Violation {
 func CheckTransport(tr x10rt.Transport) []Violation {
 	var sum x10rt.Stats
 	for p := 0; p < tr.NumPlaces(); p++ {
-		s := tr.PlaceStats(p)
-		for i := range sum.Messages {
-			sum.Messages[i] += s.Messages[i]
-			sum.Bytes[i] += s.Bytes[i]
-		}
-		sum.WireBytes += s.WireBytes
+		sum = sum.Add(tr.PlaceStats(p))
 	}
 	if total := tr.Stats(); total != sum {
 		return []Violation{{
@@ -165,9 +160,9 @@ func CheckRuntimeSurvivors(rt *core.Runtime) []Violation {
 }
 
 // CheckAllSurvivors combines the survivor-restricted runtime invariants
-// with the transport sum-equality check (total and per-place counters
-// advance together under the same locks, so their equality survives a
-// mid-run kill).
+// with the transport sum-equality check (total and per-place counts are
+// views of one link table, so their equality survives a mid-run kill
+// once traffic has stopped).
 func CheckAllSurvivors(rt *core.Runtime, tr x10rt.Transport) []Violation {
 	return append(CheckRuntimeSurvivors(rt), CheckTransport(tr)...)
 }

@@ -12,12 +12,7 @@ import (
 // routed messages than the snapshots they receive.
 func TestDenseCoalescingBatches(t *testing.T) {
 	const places = 16
-	inner, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: places})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counting := x10rt.NewCountingTransport(inner)
-	rt, err := NewRuntime(Config{Places: places, PlacesPerHost: 4, Transport: counting})
+	rt, err := NewRuntime(Config{Places: places, PlacesPerHost: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +49,7 @@ func TestDenseCoalescingBatches(t *testing.T) {
 	// no shaping). With 16 places and 4 per host: 3 masters + 3
 	// housemates = 6 sources, instead of 15 with direct delivery.
 	const wantMax = (places/4 - 1) + (4 - 1)
-	fanIn, _ := counting.FanIn(0, x10rt.ControlClass)
+	fanIn, _ := rt.Transport().Links().FanIn(0, x10rt.ControlClass)
 	if fanIn > wantMax {
 		t.Errorf("home control fan-in = %d, want <= %d", fanIn, wantMax)
 	}

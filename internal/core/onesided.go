@@ -79,7 +79,7 @@ func (c *Ctx) OneSidedSend(p Place, op *x10rt.OneSidedOp) {
 		}
 		op.Token = packFinToken(fin, true)
 		if err := rt.tr.SendOneSided(int(c.pl.id), int(p), op); err != nil {
-			if !errors.Is(err, x10rt.ErrPlaceDead) {
+			if !rt.sendDroppable(err) {
 				panicSendFailure(c.pl.id, p, err)
 			}
 			rt.spawnFailed(fin, c.pl, p, err, true)
@@ -95,7 +95,7 @@ func (c *Ctx) OneSidedSend(p Place, op *x10rt.OneSidedOp) {
 	}
 	op.Token = packFinToken(fin, false)
 	if err := rt.tr.SendOneSided(int(c.pl.id), int(p), op); err != nil {
-		if !errors.Is(err, x10rt.ErrPlaceDead) {
+		if !rt.sendDroppable(err) {
 			panicSendFailure(c.pl.id, p, err)
 		}
 		rt.spawnFailed(fin, c.pl, p, err, true)

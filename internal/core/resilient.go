@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -302,11 +301,11 @@ func (rt *Runtime) spawnFailed(fin finRef, pl *place, dst Place, err error, coun
 }
 
 // trySend is the send funnel for messages that need compensation on
-// failure (activity spawns): a dead-place failure is returned, anything
-// else still panics as a transport bug.
+// failure (activity spawns): a failure sendDroppable accepts is
+// returned, anything else still panics as a transport bug.
 func (rt *Runtime) trySend(src, dst Place, id x10rt.HandlerID, payload any, bytes int, class x10rt.Class) error {
 	err := rt.tr.Send(int(src), int(dst), id, payload, bytes, class)
-	if err != nil && !errors.Is(err, x10rt.ErrPlaceDead) {
+	if err != nil && !rt.sendDroppable(err) {
 		panicSendFailure(src, dst, err)
 	}
 	return err

@@ -223,3 +223,36 @@ func TestPlaceDeathIdempotent(t *testing.T) {
 		t.Fatalf("DeadPlaces = %v, want [2]", got)
 	}
 }
+
+// TestSendAfterCloseDropped pins the send funnels' verdict on ErrClosed.
+// An activity orphaned by a kill can outlive Close and still send; once
+// the runtime is closed that failure is attrition and is dropped. The
+// same failure under a live runtime is still a transport bug.
+func TestSendAfterCloseDropped(t *testing.T) {
+	rt, err := NewRuntime(Config{Places: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Close() // the runtime owns its transport, so this closes it too
+	rt.send(0, 1, x10rt.HandlerFinishCtl, nil, 8, x10rt.ControlClass)
+	if err := rt.trySend(0, 1, x10rt.HandlerSpawn, nil, 8, x10rt.DataClass); !errors.Is(err, x10rt.ErrClosed) {
+		t.Errorf("trySend after Close = %v, want ErrClosed", err)
+	}
+
+	tr, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := NewRuntime(Config{Places: 2, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	tr.Close()
+	defer func() {
+		if recover() == nil {
+			t.Error("ErrClosed under a live runtime did not panic")
+		}
+	}()
+	live.send(0, 1, x10rt.HandlerFinishCtl, nil, 8, x10rt.ControlClass)
+}

@@ -406,15 +406,22 @@ func (rt *Runtime) now() int64 {
 // send is the single funnel for runtime messages whose loss a place
 // death already accounts for: control credits and snapshots addressed to
 // a dead root are moot (the root force-fired), and everything a dead
-// place would have sent is forgiven by the adoption protocol. Dead-place
-// failures are therefore dropped silently; any other failure is still a
-// transport bug and panics. Spawn paths, whose loss must be compensated,
-// use trySend (resilient.go) instead.
+// place would have sent is forgiven by the adoption protocol. Failures
+// sendDroppable accepts are therefore dropped silently; any other
+// failure is a transport bug and panics. Spawn paths, whose loss must
+// be compensated, use trySend (resilient.go) instead.
 func (rt *Runtime) send(src, dst Place, id x10rt.HandlerID, payload any, bytes int, class x10rt.Class) {
-	if err := rt.tr.Send(int(src), int(dst), id, payload, bytes, class); err != nil &&
-		!errors.Is(err, x10rt.ErrPlaceDead) {
+	if err := rt.tr.Send(int(src), int(dst), id, payload, bytes, class); err != nil && !rt.sendDroppable(err) {
 		panicSendFailure(src, dst, err)
 	}
+}
+
+// sendDroppable reports whether a failed send is expected attrition
+// rather than a transport bug: the destination or source place died, or
+// the runtime was closed under an activity a kill orphaned, which may
+// still run and send after Close.
+func (rt *Runtime) sendDroppable(err error) bool {
+	return errors.Is(err, x10rt.ErrPlaceDead) || errors.Is(err, x10rt.ErrClosed) && rt.closed.Load()
 }
 
 // flushTransport pushes any batched frames queued at place p out to

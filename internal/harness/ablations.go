@@ -68,14 +68,7 @@ func FinishAblation(shape string, places, reps int) ([]FinishAblationRow, error)
 
 	var rows []FinishAblationRow
 	for _, c := range candidates {
-		inner, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: places})
-		if err != nil {
-			return nil, err
-		}
-		counting := x10rt.NewCountingTransport(inner)
-		rt, err := core.NewRuntime(core.Config{
-			Places: places, PlacesPerHost: 8, Transport: counting,
-		})
+		rt, err := core.NewRuntime(core.Config{Places: places, PlacesPerHost: 8})
 		if err != nil {
 			return nil, err
 		}
@@ -119,18 +112,19 @@ func FinishAblation(shape string, places, reps int) ([]FinishAblationRow, error)
 		})
 		seconds := time.Since(start).Seconds()
 		delta := rt.Transport().Stats().Sub(before)
+		links := rt.Transport().Links()
 		rt.Close()
 		if err != nil {
 			return nil, err
 		}
-		fanIn, _ := counting.FanIn(0, x10rt.ControlClass)
+		fanIn, _ := links.FanIn(0, x10rt.ControlClass)
 		rows = append(rows, FinishAblationRow{
 			Pattern:     c.name,
 			Seconds:     seconds,
 			CtlMessages: delta.Messages[x10rt.ControlClass],
 			CtlBytes:    delta.Bytes[x10rt.ControlClass],
 			HomeFanIn:   fanIn,
-			MaxInDegree: counting.MaxInDegree(x10rt.ControlClass),
+			MaxInDegree: links.MaxInDegree(x10rt.ControlClass),
 		})
 	}
 	return rows, nil

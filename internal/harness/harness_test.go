@@ -131,6 +131,28 @@ func TestFinishAblationSpecializedUseFewerMessages(t *testing.T) {
 	}
 }
 
+// TestFinishAblationFanIn pins the traffic-shape columns at 4 places:
+// every spmd and round pattern but FINISH_HERE hears control traffic at
+// the home from all three other places, and FINISH_HERE sends none.
+func TestFinishAblationFanIn(t *testing.T) {
+	for _, shape := range []string{"spmd", "round"} {
+		rows, err := FinishAblation(shape, 4, 20)
+		if err != nil {
+			t.Fatalf("%s: %v", shape, err)
+		}
+		for _, r := range rows {
+			want := 3
+			if r.Pattern == "FINISH_HERE" {
+				want = 0
+			}
+			if r.HomeFanIn != want || r.MaxInDegree != want {
+				t.Errorf("%s/%s: home fan-in %d, max fan-in %d; want %d/%d",
+					shape, r.Pattern, r.HomeFanIn, r.MaxInDegree, want, want)
+			}
+		}
+	}
+}
+
 func TestFinishAblationTable(t *testing.T) {
 	tab, err := FinishAblationTable(4, 2)
 	if err != nil {

@@ -19,13 +19,13 @@ import (
 //     the record methods on a possibly-nil *WireLedger; the nil
 //     receiver must return before touching timers or maps
 //     (testing.AllocsPerRun is exact, not a timing measurement).
-//  2. The per-message hook cost — the RecordSend + RecordWire +
-//     RecordRecv triple a chan-transport message pays, measured
-//     directly on the nil receiver — must be under 2% of the measured
-//     cost of the cheapest message, a FINISH_ASYNC remote spawn plus
-//     its completion credit. The measured ratio is far below 0.1%
-//     (three nil checks against a multi-microsecond message), so the
-//     2% gate holds with wide margin.
+//  2. The per-message hook cost — the RecordSend + RecordRecv pair a
+//     chan-transport message pays, measured directly on the nil
+//     receiver — must be under 2% of the measured cost of the cheapest
+//     message, a FINISH_ASYNC remote spawn plus its completion credit.
+//     The measured ratio is far below 0.1% (two nil checks against a
+//     multi-microsecond message), so the 2% gate holds with wide
+//     margin.
 func TestWireLedgerDisabledOverhead(t *testing.T) {
 	// (1) Allocation-free disabled paths, covering every record method a
 	// transport hot path calls.
@@ -35,7 +35,6 @@ func TestWireLedgerDisabledOverhead(t *testing.T) {
 		fn   func()
 	}{
 		{"nil RecordSend", func() { nilLg.RecordSend(0, 1, x10rt.UserHandlerBase, 64) }},
-		{"nil RecordWire", func() { nilLg.RecordWire(0, 1, 80) }},
 		{"nil RecordEncode", func() { nilLg.RecordEncode(0, x10rt.UserHandlerBase, 500) }},
 		{"nil RecordRecv", func() { nilLg.RecordRecv(1, x10rt.UserHandlerBase, 400) }},
 		{"nil RecordBatchBody", func() { nilLg.RecordBatchBody(0, 1, 256, 128) }},
@@ -48,13 +47,11 @@ func TestWireLedgerDisabledOverhead(t *testing.T) {
 	}
 
 	// (2) Hook cost vs message cost. A chan-transport message pays one
-	// RecordSend and one RecordWire at the sender plus one RecordRecv at
-	// delivery.
+	// RecordSend at the sender plus one RecordRecv at delivery.
 	const hookIters = 1_000_000
 	start := time.Now()
 	for i := 0; i < hookIters; i++ {
 		nilLg.RecordSend(0, 1, x10rt.UserHandlerBase, 64)
-		nilLg.RecordWire(0, 1, 64)
 		nilLg.RecordRecv(1, x10rt.UserHandlerBase, 0)
 	}
 	hookNs := float64(time.Since(start).Nanoseconds()) / hookIters
@@ -85,7 +82,7 @@ func TestWireLedgerDisabledOverhead(t *testing.T) {
 	}
 
 	ratio := hookNs / msgNs
-	t.Logf("disabled hook triple %.1f ns, FINISH_ASYNC message %.0f ns: overhead %.3f%%",
+	t.Logf("disabled hook pair %.1f ns, FINISH_ASYNC message %.0f ns: overhead %.3f%%",
 		hookNs, msgNs, 100*ratio)
 	if ratio >= 0.02 {
 		t.Errorf("disabled-ledger hook overhead %.2f%% of message cost, want < 2%%", 100*ratio)

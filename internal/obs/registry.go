@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math/bits"
 	"sort"
 	"sync"
@@ -272,6 +273,7 @@ func (s Snapshot) WriteText(w io.Writer) {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
+	funcs    map[string]func() uint64 // read-through counters
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
@@ -280,6 +282,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
+		funcs:    make(map[string]func() uint64),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
@@ -340,7 +343,23 @@ func (r *Registry) RegisterCounter(name string, c *Counter) {
 		return
 	}
 	r.mu.Lock()
+	delete(r.funcs, name)
 	r.counters[name] = c
+	r.mu.Unlock()
+}
+
+// RegisterCounterFunc adopts a read-through counter under name: fn is
+// called at every snapshot, so a subsystem whose counts live in its own
+// structure (a transport's link table) surfaces them without keeping a
+// copy. It replaces an earlier registration under name, like
+// RegisterCounter.
+func (r *Registry) RegisterCounterFunc(name string, fn func() uint64) {
+	if r == nil || fn == nil {
+		return
+	}
+	r.mu.Lock()
+	delete(r.counters, name)
+	r.funcs[name] = fn
 	r.mu.Unlock()
 }
 
@@ -371,8 +390,7 @@ func (r *Registry) Snapshot() Snapshot {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := make(Snapshot, len(r.counters)+len(r.gauges)+len(r.hists))
+	s := make(Snapshot, len(r.counters)+len(r.funcs)+len(r.gauges)+len(r.hists))
 	for name, c := range r.counters {
 		s[name] = Value{Kind: KindCounter, Count: c.Value()}
 	}
@@ -386,6 +404,13 @@ func (r *Registry) Snapshot() Snapshot {
 			v.Buckets[i] = h.buckets[i].Load()
 		}
 		s[name] = v
+	}
+	// Read-through counters run outside the lock: they are the
+	// registering subsystem's code.
+	funcs := maps.Clone(r.funcs)
+	r.mu.Unlock()
+	for name, fn := range funcs {
+		s[name] = Value{Kind: KindCounter, Count: fn()}
 	}
 	return s
 }

@@ -134,6 +134,19 @@ func TestRegisterAdoptsExternalCounter(t *testing.T) {
 		t.Fatalf("re-registered counter = %d, want 1", got)
 	}
 
+	// A read-through counter is read at every snapshot and replaces the
+	// adopted counter under its name, and vice versa.
+	src := uint64(7)
+	r.RegisterCounterFunc("ext.count", func() uint64 { return src })
+	src = 9
+	if got := r.Snapshot().Counter("ext.count"); got != 9 {
+		t.Fatalf("read-through counter = %d, want 9", got)
+	}
+	r.RegisterCounter("ext.count", &next)
+	if got := r.Snapshot().Counter("ext.count"); got != 1 {
+		t.Fatalf("counter re-adopted over a read-through = %d, want 1", got)
+	}
+
 	var lvl Gauge
 	lvl.Set(5)
 	r.RegisterGauge("ext.level", &lvl)

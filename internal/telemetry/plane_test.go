@@ -70,12 +70,7 @@ func TestCollectSumEquality(t *testing.T) {
 	total := tr.Stats()
 	var sum x10rt.Stats
 	for q := 0; q < places; q++ {
-		ps := tr.PlaceStats(q)
-		for i := range sum.Messages {
-			sum.Messages[i] += ps.Messages[i]
-			sum.Bytes[i] += ps.Bytes[i]
-		}
-		sum.WireBytes += ps.WireBytes
+		sum = sum.Add(tr.PlaceStats(q))
 	}
 	if sum != total {
 		t.Fatalf("sum of per-place stats %v != transport stats %v", sum, total)

@@ -83,12 +83,13 @@ const (
 // proper (x10rt.msgs.*, x10rt.bytes.*) stay with the inner transport:
 // batching changes how messages travel, not how many there are.
 type batchMetrics struct {
-	batches obs.Counter // batches forwarded
-	msgs    obs.Counter // messages carried by those batches
 	reasons [numFlushReasons]obs.Counter
-	frames  obs.Histogram // messages per batch
-	bytes   obs.Histogram // modeled bytes per batch
-	delay   obs.Histogram // ns from first enqueue to flush
+	// frames observes messages per batch: its count is the batches
+	// forwarded (x10rt.batch.batches), its sum the messages they
+	// carried (x10rt.batch.msgs).
+	frames obs.Histogram
+	bytes  obs.Histogram // modeled bytes per batch
+	delay  obs.Histogram // ns from first enqueue to flush
 
 	// qdepth/qbytes gauge the flusher's backpressure: total queued
 	// messages and modeled bytes across every link, sampled by the
@@ -100,8 +101,8 @@ type batchMetrics struct {
 }
 
 func (m *batchMetrics) attach(r *obs.Registry) {
-	r.RegisterCounter("x10rt.batch.batches", &m.batches)
-	r.RegisterCounter("x10rt.batch.msgs", &m.msgs)
+	r.RegisterCounterFunc("x10rt.batch.batches", m.frames.Count)
+	r.RegisterCounterFunc("x10rt.batch.msgs", m.frames.Sum)
 	r.RegisterCounter("x10rt.batch.flush.idle", &m.reasons[flushIdle])
 	r.RegisterCounter("x10rt.batch.flush.size", &m.reasons[flushSize])
 	r.RegisterCounter("x10rt.batch.flush.aged", &m.reasons[flushAged])
@@ -342,8 +343,6 @@ func (t *BatchingTransport) flushLink(l *batchLink, src, dst int, why flushReaso
 	l.qBytes = 0
 	l.mu.Unlock()
 
-	t.bm.batches.Inc()
-	t.bm.msgs.Add(uint64(len(q)))
 	t.bm.reasons[why].Inc()
 	t.bm.frames.Observe(uint64(len(q)))
 	t.bm.bytes.Observe(uint64(qBytes))
@@ -452,7 +451,7 @@ func (t *BatchingTransport) Quiesce() {
 	type quiescer interface{ Quiesce() }
 	iq, _ := t.Transport.(quiescer)
 	for {
-		before := t.bm.batches.Value()
+		before := t.bm.frames.Count()
 		_ = t.Flush(-1)
 		if iq != nil {
 			iq.Quiesce()
@@ -465,7 +464,7 @@ func (t *BatchingTransport) Quiesce() {
 			}
 			l.mu.Unlock()
 		}
-		if !queued && t.bm.batches.Value() == before {
+		if !queued && t.bm.frames.Count() == before {
 			return
 		}
 	}
@@ -491,18 +490,18 @@ func (t *BatchingTransport) AttachMetrics(r *obs.Registry) {
 }
 
 // AttachWireLedger implements Transport: the attachment is forwarded to
-// the inner transport (which records sends, wire bytes, and codec
-// timings), and the wrapper additionally records each link's batch
-// queue wait into the same ledger.
+// the inner transport (which records sends and codec timings and owns
+// the link table), and the wrapper additionally records each link's
+// batch queue wait into the same ledger.
 func (t *BatchingTransport) AttachWireLedger(lg *WireLedger) {
-	t.lg.Store(lg)
 	t.Transport.AttachWireLedger(lg)
+	t.lg.Store(lg)
 }
 
 // BatchStats reports the wrapper's own counters: batches forwarded and
 // messages they carried.
 func (t *BatchingTransport) BatchStats() (batches, msgs uint64) {
-	return t.bm.batches.Value(), t.bm.msgs.Value()
+	return t.bm.frames.Count(), t.bm.frames.Sum()
 }
 
 // Close implements Transport: it stops the background flusher, pushes

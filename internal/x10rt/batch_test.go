@@ -289,12 +289,7 @@ func TestBatchingOverChanKeepsSumEquality(t *testing.T) {
 	bt.Quiesce()
 	var sum Stats
 	for p := 0; p < 4; p++ {
-		ps := bt.PlaceStats(p)
-		for i := range sum.Messages {
-			sum.Messages[i] += ps.Messages[i]
-			sum.Bytes[i] += ps.Bytes[i]
-		}
-		sum.WireBytes += ps.WireBytes
+		sum = sum.Add(bt.PlaceStats(p))
 	}
 	if got := bt.Stats(); got != sum {
 		t.Errorf("Stats %+v != Σ PlaceStats %+v", got, sum)

@@ -54,16 +54,15 @@ type ChanOptions struct {
 // the mailbox, violating per-link FIFO. TestHandlerSendInsideHandler
 // pins both properties.
 type ChanTransport struct {
-	opts     ChanOptions
-	handlers *handlerTable
-	places   []*chanEndpoint
-	ctrs     counters
-	perPlace []counters // egress traffic by source place
-	lg       atomic.Pointer[WireLedger]
-	arenas   atomic.Pointer[ArenaTable]
-	deaths   deathState
-	closed   sync.Once
-	done     chan struct{}
+	opts       ChanOptions
+	handlers   *handlerTable
+	places     []*chanEndpoint
+	*linkTable // the traffic account: Stats, PlaceStats, Links, metrics
+	lg         atomic.Pointer[WireLedger]
+	arenas     atomic.Pointer[ArenaTable]
+	deaths     deathState
+	closed     sync.Once
+	done       chan struct{}
 }
 
 type chanMsg struct {
@@ -111,11 +110,11 @@ func NewChanTransport(opts ChanOptions) (*ChanTransport, error) {
 		opts.MailboxHint = 64
 	}
 	t := &ChanTransport{
-		opts:     opts,
-		handlers: newHandlerTable(),
-		places:   make([]*chanEndpoint, opts.Places),
-		perPlace: make([]counters, opts.Places),
-		done:     make(chan struct{}),
+		opts:      opts,
+		handlers:  newHandlerTable(),
+		places:    make([]*chanEndpoint, opts.Places),
+		linkTable: newLinkTable(opts.Places, 0, opts.Places),
+		done:      make(chan struct{}),
 	}
 	for i := range t.places {
 		ep := &chanEndpoint{
@@ -186,18 +185,9 @@ func (t *ChanTransport) Send(src, dst int, id HandlerID, payload any, bytes int,
 	}
 	ep.enqueueLocked(m)
 	ep.mu.Unlock()
-	if countable(id) {
-		t.ctrs.add(class, bytes)
-		t.perPlace[src].add(class, bytes)
-		// In-process transports do not serialize, so the modeled size
-		// is also the wire size (see Stats.WireBytes).
-		t.ctrs.addWire(bytes)
-		t.perPlace[src].addWire(bytes)
-		if lg := t.lg.Load(); lg != nil {
-			lg.RecordSend(src, dst, id, bytes)
-			lg.RecordWire(src, dst, bytes)
-		}
-	}
+	// In-process transports do not serialize, so the modeled size is
+	// also the wire size (see Stats.WireBytes).
+	t.count(t.lg.Load(), src, dst, id, class, bytes, bytes)
 	return nil
 }
 
@@ -247,16 +237,8 @@ func (t *ChanTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 	ep.seq++
 	ep.enqueueLocked(m)
 	ep.mu.Unlock()
-	t.ctrs.add(DataClass, bytes)
-	t.perPlace[src].add(DataClass, bytes)
-	// The modeled wire cost is the exact v5 frame length, so ledger
-	// one-sided rows stay sum-equal with x10rt.bytes.wire.
-	t.ctrs.addWire(wire)
-	t.perPlace[src].addWire(wire)
-	if lg := t.lg.Load(); lg != nil {
-		lg.RecordSend(src, dst, HandlerOneSided, bytes)
-		lg.RecordWire(src, dst, wire)
-	}
+	// The modeled wire cost is the exact v5 frame length.
+	t.count(t.lg.Load(), src, dst, HandlerOneSided, DataClass, bytes, wire)
 	return nil
 }
 
@@ -408,9 +390,6 @@ func (t *ChanTransport) PlaceDead(p int) bool { return t.deaths.isDead(p) }
 // NotifyDeath implements Transport.
 func (t *ChanTransport) NotifyDeath(fn func(dead, observer int)) { t.deaths.subscribe(fn) }
 
-// Stats implements Transport.
-func (t *ChanTransport) Stats() Stats { return t.ctrs.snapshot() }
-
 // Flush implements Transport; the in-process transport buffers nothing.
 func (t *ChanTransport) Flush(int) error { return nil }
 
@@ -418,29 +397,13 @@ func (t *ChanTransport) Flush(int) error { return nil }
 // frames to stamp.
 func (t *ChanTransport) AttachTracer(*obs.Tracer) {}
 
-// AttachMetrics implements Transport: the traffic counters become
-// visible in r under x10rt.msgs.<class> / x10rt.bytes.<class>.
-func (t *ChanTransport) AttachMetrics(r *obs.Registry) { t.ctrs.attach(r) }
-
-// PlaceStats implements Transport: traffic sent by place p.
-func (t *ChanTransport) PlaceStats(p int) Stats {
-	if p < 0 || p >= len(t.perPlace) {
-		return Stats{}
-	}
-	return t.perPlace[p].snapshot()
-}
-
-// AttachPlaceMetrics implements Transport.
-func (t *ChanTransport) AttachPlaceMetrics(p int, r *obs.Registry) {
-	if p >= 0 && p < len(t.perPlace) {
-		t.perPlace[p].attach(r)
-	}
-}
-
 // AttachWireLedger implements Transport: every subsequent send and
-// delivery is attributed by (handler, link). Safe to call at any time;
-// nil detaches.
-func (t *ChanTransport) AttachWireLedger(lg *WireLedger) { t.lg.Store(lg) }
+// delivery is attributed by handler, and the ledger's link rows read
+// this transport's link table. Safe to call at any time; nil detaches.
+func (t *ChanTransport) AttachWireLedger(lg *WireLedger) {
+	lg.attachTable(t.linkTable)
+	t.lg.Store(lg)
+}
 
 // Close implements Transport.
 func (t *ChanTransport) Close() error {

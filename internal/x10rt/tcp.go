@@ -33,13 +33,16 @@ type TCPOptions struct {
 // Unlike ChanTransport, a TCPTransport value represents a single place; a
 // full mesh consists of one TCPTransport per place (usually one per
 // process). Delivery is FIFO per (src, dst) link, as TCP guarantees.
+// Its link table holds its own place's row only, so Stats is the
+// endpoint's egress, PlaceStats of any other place is zero (that
+// place's endpoint counts it), and ingress shows only in an attached
+// wire ledger, as the receiving place's per-handler recv counts.
 type TCPTransport struct {
-	opts     TCPOptions
-	handlers *handlerTable
-	listener net.Listener
-	ctrs     counters
-	egress   counters // messages sent by this endpoint only
-	deaths   deathState
+	opts       TCPOptions
+	handlers   *handlerTable
+	listener   net.Listener
+	*linkTable // this endpoint's row only
+	deaths     deathState
 
 	mu     sync.Mutex
 	conns  map[int]*tcpConn // outbound, keyed by dst
@@ -144,11 +147,12 @@ func NewLocalCodecTCPMesh(n int) ([]*TCPTransport, error) { return NewLocalTCPMe
 
 func newTCPWithListener(opts TCPOptions, ln net.Listener) *TCPTransport {
 	t := &TCPTransport{
-		opts:     opts,
-		handlers: newHandlerTable(),
-		listener: ln,
-		conns:    make(map[int]*tcpConn),
-		loop:     make(chan wireMsg, 256),
+		opts:      opts,
+		handlers:  newHandlerTable(),
+		listener:  ln,
+		linkTable: newLinkTable(len(opts.Addrs), opts.Place, 1),
+		conns:     make(map[int]*tcpConn),
+		loop:      make(chan wireMsg, 256),
 	}
 	t.wg.Add(2)
 	go t.accept()
@@ -187,18 +191,9 @@ func (t *TCPTransport) Send(src, dst int, id HandlerID, payload any, bytes int, 
 			return ErrClosed
 		}
 		t.loop <- wireMsg{Src: src, ID: id, Class: class, Bytes: bytes, Payload: payload}
-		if countable(id) {
-			t.ctrs.add(class, bytes)
-			t.egress.add(class, bytes)
-			// Loopback has no wire; the modeled size stands in so
-			// WireBytes remains a complete egress account.
-			t.ctrs.addWire(bytes)
-			t.egress.addWire(bytes)
-			if lg := t.lg.Load(); lg != nil {
-				lg.RecordSend(src, dst, id, bytes)
-				lg.RecordWire(src, dst, bytes)
-			}
-		}
+		// Loopback has no wire; the modeled size stands in so WireBytes
+		// remains a complete egress account.
+		t.count(t.lg.Load(), src, dst, id, class, bytes, bytes)
 		return nil
 	}
 	one := [1]BatchMsg{{ID: id, Payload: payload, Bytes: bytes, Class: class}}
@@ -206,16 +201,7 @@ func (t *TCPTransport) Send(src, dst int, id HandlerID, payload any, bytes int, 
 	if err != nil {
 		return err
 	}
-	if countable(id) {
-		t.ctrs.add(class, bytes)
-		t.egress.add(class, bytes)
-		t.ctrs.addWire(wireLen)
-		t.egress.addWire(wireLen)
-		if lg := t.lg.Load(); lg != nil {
-			lg.RecordSend(src, dst, id, bytes)
-			lg.RecordWire(src, dst, wireLen)
-		}
-	}
+	t.count(t.lg.Load(), src, dst, id, class, bytes, wireLen)
 	return nil
 }
 
@@ -223,7 +209,7 @@ func (t *TCPTransport) Send(src, dst int, id HandlerID, payload any, bytes int, 
 // single type-table section, a single write syscall, and at most one
 // compression pass — instead of len(msgs) individual frames. Messages
 // are delivered at dst in slice order. Wire bytes are counted once for
-// the whole frame; the per-class counters still see every message.
+// the whole frame; the link table still counts every message.
 // Batches are assembled by the BatchingTransport, which never batches
 // telemetry traffic, so the frame as a whole is countable.
 func (t *TCPTransport) SendBatch(src, dst int, msgs []BatchMsg, compressMin int) error {
@@ -252,8 +238,8 @@ func (t *TCPTransport) SendBatch(src, dst int, msgs []BatchMsg, compressMin int)
 	if err != nil {
 		return err
 	}
-	// Sum per class first: one atomic add per class and counter for the
-	// frame, not per message — the reader goroutine updates ctrs too.
+	// Sum per class first: one table update per class for the frame,
+	// not per message; the frame's wire bytes ride the first.
 	var n, b [numClasses]uint64
 	lg := t.lg.Load()
 	for i := range msgs {
@@ -265,15 +251,13 @@ func (t *TCPTransport) SendBatch(src, dst int, msgs []BatchMsg, compressMin int)
 			}
 		}
 	}
+	wire := uint64(wireLen)
 	for c := range n {
 		if n[c] > 0 {
-			t.ctrs.addN(Class(c), n[c], b[c])
-			t.egress.addN(Class(c), n[c], b[c])
+			t.linkTable.add(src, dst, Class(c), n[c], b[c], wire)
+			wire = 0
 		}
 	}
-	t.ctrs.addWire(wireLen)
-	t.egress.addWire(wireLen)
-	lg.RecordWire(src, dst, wireLen)
 	return nil
 }
 
@@ -447,7 +431,6 @@ func (t *TCPTransport) readOneSided(br *bufio.Reader, payloadLen int) error {
 	if !alive {
 		return nil // frames in flight across a killed link are discarded
 	}
-	t.ctrs.add(DataClass, op.Bytes)
 	if lg := t.lg.Load(); lg != nil {
 		// The lane has no deserialization: landing is the memcpy itself.
 		lg.RecordRecv(t.opts.Place, HandlerOneSided, 0)
@@ -487,16 +470,8 @@ func (t *TCPTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 		if at == nil {
 			return fmt.Errorf("x10rt: one-sided send with no arena table attached")
 		}
-		wire := OneSidedWireBytes(src, op)
-		t.ctrs.add(DataClass, op.Bytes)
-		t.egress.add(DataClass, op.Bytes)
-		t.ctrs.addWire(wire)
-		t.egress.addWire(wire)
-		if lg != nil {
-			lg.RecordSend(src, dst, HandlerOneSided, op.Bytes)
-			lg.RecordWire(src, dst, wire)
-			lg.RecordRecv(dst, HandlerOneSided, 0)
-		}
+		t.count(lg, src, dst, HandlerOneSided, DataClass, op.Bytes, OneSidedWireBytes(src, op))
+		lg.RecordRecv(dst, HandlerOneSided, 0)
 		// Landing synchronously is safe here: one-sided ops never run
 		// user handlers, so Send's reentrancy rule does not apply.
 		err := at.Land(src, dst, op, func(rep *OneSidedOp) error {
@@ -549,29 +524,18 @@ func (t *TCPTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 		t.dropConn(dst, conn)
 		return fmt.Errorf("x10rt: one-sided send to %d: %w", dst, err)
 	}
-	t.ctrs.add(DataClass, op.Bytes)
-	t.egress.add(DataClass, op.Bytes)
-	t.ctrs.addWire(frameLen)
-	t.egress.addWire(frameLen)
-	if lg != nil {
-		lg.RecordSend(src, dst, HandlerOneSided, op.Bytes)
-		lg.RecordWire(src, dst, frameLen)
-	}
+	t.count(lg, src, dst, HandlerOneSided, DataClass, op.Bytes, frameLen)
 	return nil
 }
 
 // AttachArenas implements Transport.
 func (t *TCPTransport) AttachArenas(at *ArenaTable) { t.arenas.Store(at) }
 
-// dispatch counts and runs one inbound message on the caller's
-// (reader) goroutine. Receivers do not touch the wire counter: wire
-// bytes are attributed to the sender, like all egress accounting.
+// dispatch runs one inbound message on the caller's (reader)
+// goroutine. Receivers count nothing: traffic is counted at its sender.
 func (t *TCPTransport) dispatch(m *wireMsg) {
 	if t.deaths.isDead(m.Src) || t.deaths.isDead(t.opts.Place) {
 		return // frames in flight across a killed link are discarded
-	}
-	if countable(m.ID) {
-		t.ctrs.add(m.Class, m.Bytes)
 	}
 	if h, ok := t.handlers.lookup(m.ID); ok {
 		h(m.Src, t.opts.Place, m.Payload)
@@ -634,15 +598,11 @@ func (t *TCPTransport) NotifyDeath(fn func(dead, observer int)) { t.deaths.subsc
 // Flush implements Transport; every Send is written before it returns.
 func (t *TCPTransport) Flush(int) error { return nil }
 
-// Stats implements Transport. Counters cover messages sent from and
-// received at this endpoint (self-sends are counted once).
-func (t *TCPTransport) Stats() Stats { return t.ctrs.snapshot() }
-
 // AttachMetrics implements Transport: the traffic counters become
 // visible in r under x10rt.msgs.<class> / x10rt.bytes.<class>, plus
 // the endpoint's write-queue backpressure gauge.
 func (t *TCPTransport) AttachMetrics(r *obs.Registry) {
-	t.ctrs.attach(r)
+	t.linkTable.AttachMetrics(r)
 	r.RegisterGauge("x10rt.tcp.writeq", &t.writeq)
 }
 
@@ -651,28 +611,21 @@ func (t *TCPTransport) AttachMetrics(r *obs.Registry) {
 // Safe to call at any time; nil detaches.
 func (t *TCPTransport) AttachTracer(tr *obs.Tracer) { t.tr.Store(tr) }
 
-// PlaceStats implements Transport. A TCP endpoint only carries
-// its own place's egress; any other place reports zero here (its own
-// endpoint, in its own process, holds its counters).
-func (t *TCPTransport) PlaceStats(p int) Stats {
-	if p != t.opts.Place {
-		return Stats{}
-	}
-	return t.egress.snapshot()
-}
-
 // AttachPlaceMetrics implements Transport.
 func (t *TCPTransport) AttachPlaceMetrics(p int, r *obs.Registry) {
 	if p == t.opts.Place {
-		t.egress.attach(r)
-		r.RegisterGauge("x10rt.tcp.writeq", &t.writeq)
+		t.AttachMetrics(r)
 	}
 }
 
 // AttachWireLedger implements Transport: sends, receives, and
-// serialization timings at this endpoint are attributed by
-// (handler, link). Safe to call at any time; nil detaches.
-func (t *TCPTransport) AttachWireLedger(lg *WireLedger) { t.lg.Store(lg) }
+// serialization timings at this endpoint are attributed by handler,
+// and the ledger's link rows read this endpoint's link table. Safe to
+// call at any time; nil detaches.
+func (t *TCPTransport) AttachWireLedger(lg *WireLedger) {
+	lg.attachTable(t.linkTable)
+	t.lg.Store(lg)
+}
 
 // Close implements Transport.
 func (t *TCPTransport) Close() error {

@@ -19,9 +19,11 @@
 // Every implementation, concrete or decorator, provides the whole
 // Transport contract: point-to-point active messages, the one-sided
 // lane, place death, flushing, and the accounting and tracing
-// attachments. Collectives and the rest of the runtime are built above
-// it, as the paper describes. The one optional capability is
-// BatchSender, which only NewBatchingTransport probes for.
+// attachments. Traffic is counted once, in the concrete transport's
+// link table (see PlaceMetricSource); decorators only expose it.
+// Collectives and the rest of the runtime are built above it, as the
+// paper describes. The one optional capability is BatchSender, which
+// only NewBatchingTransport probes for.
 package x10rt
 
 import (
@@ -78,7 +80,7 @@ func (c Class) String() string {
 // reordering; messages from different sources are unordered relative to one
 // another, as on a real interconnect.
 //
-// Decorators (batching, counting, chaos) embed the Transport they wrap
+// Decorators (batching, chaos) embed the Transport they wrap
 // and override only the methods whose behaviour they change.
 type Transport interface {
 	// NumPlaces reports the number of places connected by this transport.
@@ -130,7 +132,9 @@ type Transport interface {
 	// into the transport freely.
 	NotifyDeath(fn func(dead, observer int))
 
-	// Stats returns a snapshot of traffic counters.
+	// Stats returns the traffic sent through this transport: every
+	// place's on an in-process transport, the endpoint's own egress on
+	// a TCP endpoint. It always equals the sum of PlaceStats.
 	Stats() Stats
 
 	PlaceMetricSource
@@ -313,9 +317,10 @@ func (d *deathState) notifyOne(dead, observer int) {
 	}()
 }
 
-// Stats is a snapshot of transport traffic counters.
+// Stats is a snapshot of sent traffic, counted at the sender: one
+// link's, one place's or a whole transport's.
 type Stats struct {
-	// Messages counts delivered messages by class.
+	// Messages counts sent messages by class.
 	Messages [3]uint64
 	// Bytes counts modeled wire bytes by class.
 	Bytes [3]uint64
@@ -324,8 +329,7 @@ type Stats struct {
 	// encoded frame bytes here, so WireBytes / TotalBytes is the
 	// effective wire amplification (or, under compression and batching,
 	// reduction). In-process transports do not serialize and report the
-	// modeled byte count. Wire bytes are attributed to the sender only
-	// (egress accounting), like PlaceStats.
+	// modeled byte count.
 	WireBytes uint64
 }
 
@@ -337,6 +341,16 @@ func (s Stats) TotalMessages() uint64 {
 // TotalBytes returns the byte count summed over classes.
 func (s Stats) TotalBytes() uint64 {
 	return s.Bytes[0] + s.Bytes[1] + s.Bytes[2]
+}
+
+// Add returns s + t counter-wise; useful for summing places or links.
+func (s Stats) Add(t Stats) Stats {
+	for i := range s.Messages {
+		s.Messages[i] += t.Messages[i]
+		s.Bytes[i] += t.Bytes[i]
+	}
+	s.WireBytes += t.WireBytes
+	return s
 }
 
 // Sub returns s - t counter-wise; useful for interval measurements.
@@ -360,11 +374,13 @@ func (s Stats) String() string {
 }
 
 // PlaceMetricSource is the accounting part of the Transport contract.
-// The traffic counters are always on, so Stats is a plain view over the
-// same atomics and attaching a registry adds names, not cost. Traffic
-// is attributed per place by source (egress accounting), so the sum of
-// PlaceStats over all places equals Stats: every message is attributed
-// to exactly one place, its sender.
+// A concrete transport keeps one always-on link table, a cell per
+// (src, dst) link that the sender writes once per message, and Stats,
+// every method here and the wire ledger's link rows are views of it:
+// attaching a registry adds names, not cost. Each message is counted
+// at its sender only (egress accounting), so the sum of PlaceStats
+// over all places equals Stats by construction. Failed sends and
+// telemetry traffic are counted nowhere.
 type PlaceMetricSource interface {
 	// AttachMetrics registers the transport's traffic counters in r.
 	AttachMetrics(r *obs.Registry)
@@ -376,6 +392,9 @@ type PlaceMetricSource interface {
 	// registries deliberately use unqualified names so snapshots from
 	// different places merge by name.
 	AttachPlaceMetrics(p int, r *obs.Registry)
+	// Links returns a snapshot of the link table: per-link traffic and
+	// the fan-in and degree views of its shape.
+	Links() Links
 }
 
 // BatchMsg is one message inside a pre-batched send. It carries
@@ -399,56 +418,182 @@ type BatchMsg struct {
 //
 // BatchSender stays outside Transport on purpose. Decorators embed the
 // Transport they wrap, so a contract method would be promoted through
-// chaos and counting, and a coalesced batch would then bypass their
-// per-message fault decisions and per-link counts.
+// chaos, and a coalesced batch would then bypass its per-message fault
+// decisions.
 type BatchSender interface {
 	SendBatch(src, dst int, msgs []BatchMsg, compressMin int) error
 }
 
-// counters accumulates traffic statistics with atomic updates. The cells
-// are obs.Counters so a registry can adopt them by name; x10rt.Stats is
-// then a compatibility view over the same registered metrics.
-type counters struct {
-	msgs  [numClasses]obs.Counter
-	bytes [numClasses]obs.Counter
-	wire  obs.Counter // on-the-wire bytes (post-batch, post-compression)
+// linkCell is one directed link's traffic account: per-class messages
+// and modeled bytes, plus the bytes put on the wire. Only the link's
+// sender writes it, once per send, and it fills a cache line of its
+// own, so senders on different links never share one.
+type linkCell struct {
+	msgs  [numClasses]atomic.Uint64
+	bytes [numClasses]atomic.Uint64
+	wire  atomic.Uint64
+	_     [64 - (2*numClasses+1)*8]byte
 }
 
-func (c *counters) add(class Class, bytes int) { c.addN(class, 1, uint64(bytes)) }
-
-// addN records n messages of one class totalling bytes.
-func (c *counters) addN(class Class, n, bytes uint64) {
-	c.msgs[class].Add(n)
-	c.bytes[class].Add(bytes)
-}
-
-// addWire records n bytes actually written to the wire. It is kept
-// separate from add because a batched frame carries many messages but
-// hits the wire once, at the sender only.
-func (c *counters) addWire(n int) {
-	c.wire.Add(uint64(n))
-}
-
-func (c *counters) snapshot() Stats {
+// stats reads the cell; a nil cell reads zero.
+func (c *linkCell) stats() Stats {
 	var s Stats
-	for i := 0; i < int(numClasses); i++ {
-		s.Messages[i] = c.msgs[i].Value()
-		s.Bytes[i] = c.bytes[i].Value()
+	if c == nil {
+		return s
 	}
-	s.WireBytes = c.wire.Value()
+	for i := range s.Messages {
+		s.Messages[i] = c.msgs[i].Load()
+		s.Bytes[i] = c.bytes[i].Load()
+	}
+	s.WireBytes = c.wire.Load()
 	return s
 }
 
-// attach registers the class counters under the canonical names
-// x10rt.msgs.<class> and x10rt.bytes.<class>, plus the on-the-wire byte
-// counter under x10rt.bytes.wire.
-func (c *counters) attach(r *obs.Registry) {
+// linkTable is a concrete transport's one traffic account: a cell per
+// (src, dst) link for every source place the transport sends from (all
+// places in-process, its own place on a TCP endpoint). Transports embed
+// it, so its PlaceMetricSource methods and Stats are theirs, and the
+// wire ledger's link rows read it too.
+type linkTable struct {
+	places int
+	first  int        // first source place carried
+	cells  []linkCell // row-major by source place
+}
+
+func newLinkTable(places, first, rows int) *linkTable {
+	return &linkTable{places: places, first: first, cells: make([]linkCell, rows*places)}
+}
+
+// add records msgs messages of one class, totalling bytes modeled bytes
+// and wire bytes on the wire, sent on a link the caller has validated.
+func (t *linkTable) add(src, dst int, class Class, msgs, bytes, wire uint64) {
+	c := &t.cells[(src-t.first)*t.places+dst]
+	c.msgs[class].Add(msgs)
+	c.bytes[class].Add(bytes)
+	c.wire.Add(wire)
+}
+
+// count records one sent message in the table and, when lg is
+// attached, in the ledger: the one accounting call of every send site.
+func (t *linkTable) count(lg *WireLedger, src, dst int, id HandlerID, class Class, bytes, wire int) {
+	if countable(id) {
+		t.add(src, dst, class, 1, uint64(bytes), uint64(wire))
+		if lg != nil {
+			lg.RecordSend(src, dst, id, bytes)
+		}
+	}
+}
+
+// row returns source place p's cells, indexed by destination; nil when
+// the table does not carry p.
+func (t *linkTable) row(p int) []linkCell {
+	i := (p - t.first) * t.places
+	if p < t.first || i >= len(t.cells) {
+		return nil
+	}
+	return t.cells[i : i+t.places]
+}
+
+// Stats implements Transport: the traffic of every place the table
+// carries.
+func (t *linkTable) Stats() Stats { return sumCells(t.cells) }
+
+// PlaceStats implements Transport: traffic sent by place p (zero when
+// the table does not carry p).
+func (t *linkTable) PlaceStats(p int) Stats { return sumCells(t.row(p)) }
+
+// Links implements Transport.
+func (t *linkTable) Links() Links {
+	l := Links{Places: t.places, Cells: make([]Stats, t.places*t.places)}
+	for i := range t.cells {
+		l.Cells[t.first*t.places+i] = t.cells[i].stats()
+	}
+	return l
+}
+
+// AttachMetrics implements Transport: read-through views of the table
+// become visible in r under x10rt.msgs.<class>, x10rt.bytes.<class>
+// and x10rt.bytes.wire.
+func (t *linkTable) AttachMetrics(r *obs.Registry) { attachCells(r, t.cells) }
+
+// AttachPlaceMetrics implements Transport: the same names over place
+// p's row.
+func (t *linkTable) AttachPlaceMetrics(p int, r *obs.Registry) {
+	if row := t.row(p); row != nil {
+		attachCells(r, row)
+	}
+}
+
+// sumCells adds up cells.
+func sumCells(cells []linkCell) Stats {
+	var s Stats
+	for i := range cells {
+		s = s.Add(cells[i].stats())
+	}
+	return s
+}
+
+// attachCells registers read-through sums of cells.
+func attachCells(r *obs.Registry, cells []linkCell) {
 	for i := 0; i < int(numClasses); i++ {
 		cls := Class(i).String()
-		r.RegisterCounter("x10rt.msgs."+cls, &c.msgs[i])
-		r.RegisterCounter("x10rt.bytes."+cls, &c.bytes[i])
+		r.RegisterCounterFunc("x10rt.msgs."+cls, func() uint64 { return sumCells(cells).Messages[i] })
+		r.RegisterCounterFunc("x10rt.bytes."+cls, func() uint64 { return sumCells(cells).Bytes[i] })
 	}
-	r.RegisterCounter("x10rt.bytes.wire", &c.wire)
+	r.RegisterCounterFunc("x10rt.bytes.wire", func() uint64 { return sumCells(cells).WireBytes })
+}
+
+// Links is a snapshot of a transport's link table: Cells[src*Places+dst]
+// is the traffic src sent to dst. Rows a transport does not send from
+// (a TCP endpoint's peers) are zero. The fan-in and degree views
+// measure traffic shape, which §3.1's specialized finishes exist to
+// change: the default finish "may flood the network interface" of its
+// home.
+type Links struct {
+	Places int
+	Cells  []Stats
+}
+
+// Link returns the traffic src sent to dst.
+func (l Links) Link(src, dst int) Stats { return l.Cells[src*l.Places+dst] }
+
+// FanIn returns, for class c, the number of other places that sent to
+// dst and the messages they sent.
+func (l Links) FanIn(dst int, c Class) (sources int, msgs uint64) {
+	for src := 0; src < l.Places; src++ {
+		if n := l.Link(src, dst).Messages[c]; n > 0 && src != dst {
+			sources++
+			msgs += n
+		}
+	}
+	return sources, msgs
+}
+
+// MaxInDegree returns the largest number of other places any one place
+// received class-c traffic from.
+func (l Links) MaxInDegree(c Class) int {
+	most := 0
+	for dst := 0; dst < l.Places; dst++ {
+		n, _ := l.FanIn(dst, c)
+		most = max(most, n)
+	}
+	return most
+}
+
+// MaxOutDegree returns the largest number of other places any one place
+// sent class-c traffic to.
+func (l Links) MaxOutDegree(c Class) int {
+	most := 0
+	for src := 0; src < l.Places; src++ {
+		n := 0
+		for dst := 0; dst < l.Places; dst++ {
+			if dst != src && l.Link(src, dst).Messages[c] > 0 {
+				n++
+			}
+		}
+		most = max(most, n)
+	}
+	return most
 }
 
 // handlerTable is a registration table shared by transport

@@ -101,12 +101,20 @@ func codecTCPFactory(t *testing.T, places int) *transporttest.Mesh {
 	return endpointMesh(codecTCPMesh(t, places))
 }
 
+// countingFactory is the chan transport with every view of its link
+// table attached: a mesh-wide registry, a registry per place and a wire
+// ledger, so the battery runs with those views attached.
 func countingFactory(t *testing.T, places int) *transporttest.Mesh {
-	inner, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: places})
+	tr, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: places})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := x10rt.NewCountingTransport(inner)
+	o := obs.New()
+	tr.AttachMetrics(o.Metrics)
+	for p := 0; p < places; p++ {
+		tr.AttachPlaceMetrics(p, o.Place(p))
+	}
+	tr.AttachWireLedger(x10rt.NewWireLedger(places, o.Place))
 	t.Cleanup(func() { tr.Close() })
 	return singleObjectMesh(places, tr)
 }
@@ -191,6 +199,10 @@ func TestConformanceCodecTCP(t *testing.T) { transporttest.TestTransport(t, code
 func TestConformanceBatchingCodecTCP(t *testing.T) {
 	transporttest.TestTransport(t, batchingCodecTCPFactory)
 }
+func TestConformanceChaosTCP(t *testing.T) { transporttest.TestTransport(t, chaosTCPFactory) }
+func TestConformanceChaosCodecTCP(t *testing.T) {
+	transporttest.TestTransport(t, chaosCodecTCPFactory)
+}
 
 // The death battery runs against every transport shape: after KillPlace
 // the sends fail fast and typed, frames are never duplicated, and death
@@ -209,8 +221,9 @@ func TestDeathBatchingCodecTCP(t *testing.T) {
 }
 
 // The one-sided battery runs against every transport shape with the
-// lane: raw chan, plain and HLC-stamped TCP, the batching and counting
-// decorators, and chaos over chan and both TCP meshes.
+// lane: raw chan (bare and with every accounting view attached), plain
+// and HLC-stamped TCP, the batching decorator, and chaos over chan and
+// both TCP meshes.
 func TestOneSidedChan(t *testing.T)     { transporttest.TestTransportOneSided(t, chanFactory) }
 func TestOneSidedTCP(t *testing.T)      { transporttest.TestTransportOneSided(t, tcpFactory) }
 func TestOneSidedCodecTCP(t *testing.T) { transporttest.TestTransportOneSided(t, codecTCPFactory) }

@@ -7,6 +7,7 @@
 //   - concurrent multi-goroutine sends,
 //   - handler re-entrancy (handlers that Send),
 //   - payload-byte accounting against Stats/PlaceStats,
+//   - per-link accounting and the traffic-shape views of Links,
 //   - Close-while-sending semantics.
 //
 // The suite is transport-shape agnostic: an in-process transport is one
@@ -73,13 +74,7 @@ func await(t *testing.T, what string, pred func() bool) {
 
 // flushAll pushes pending batches out on transports that buffer.
 func flushAll(m *Mesh) {
-	seen := map[x10rt.Transport]bool{}
-	for p := 0; p < m.Places; p++ {
-		ep := m.Endpoint(p)
-		if seen[ep] {
-			continue
-		}
-		seen[ep] = true
+	for _, ep := range endpoints(m) {
 		_ = ep.Flush(-1)
 	}
 }
@@ -90,6 +85,7 @@ func TestTransport(t *testing.T, factory Factory) {
 	t.Run("ConcurrentSends", func(t *testing.T) { testConcurrentSends(t, factory) })
 	t.Run("HandlerReentrancy", func(t *testing.T) { testHandlerReentrancy(t, factory) })
 	t.Run("ByteAccounting", func(t *testing.T) { testByteAccounting(t, factory) })
+	t.Run("LinkAccounting", func(t *testing.T) { testLinkAccounting(t, factory) })
 	t.Run("CloseWhileSending", func(t *testing.T) { testCloseWhileSending(t, factory) })
 }
 
@@ -430,8 +426,9 @@ func testHandlerReentrancy(t *testing.T, factory Factory) {
 
 // testByteAccounting checks the accounting contract: per-class message
 // and modeled-byte egress, summed over PlaceStats of every place's own
-// endpoint, equals exactly what was sent; wire bytes are counted
-// whenever traffic flowed; telemetry traffic stays invisible.
+// endpoint, equals exactly what was sent; every endpoint's Stats equals
+// the sum of its PlaceStats; wire bytes are counted whenever traffic
+// flowed; telemetry traffic stays invisible.
 func testByteAccounting(t *testing.T, factory Factory) {
 	const places = 3
 	m := factory(t, places)
@@ -468,12 +465,7 @@ func testByteAccounting(t *testing.T, factory Factory) {
 
 	var sum x10rt.Stats
 	for p := 0; p < places; p++ {
-		s := m.Endpoint(p).PlaceStats(p)
-		for i := range sum.Messages {
-			sum.Messages[i] += s.Messages[i]
-			sum.Bytes[i] += s.Bytes[i]
-		}
-		sum.WireBytes += s.WireBytes
+		sum = sum.Add(m.Endpoint(p).PlaceStats(p))
 	}
 	for i := range classes {
 		if sum.Messages[i] != wantMsgs[i] {
@@ -486,23 +478,132 @@ func testByteAccounting(t *testing.T, factory Factory) {
 	if sum.WireBytes == 0 {
 		t.Error("no wire bytes accounted for nonzero traffic")
 	}
-	// Wire-byte parity: the per-place egress attribution must re-sum to
-	// the transport's own global wire counter. Both sides count egress
-	// only (payload counters on serializing transports also cover
-	// ingress, so they are checked per class above, not here), so the
-	// equality holds on single-object transports — where Stats() is the
-	// one global account — and on per-place-endpoint meshes, where the
-	// global account is the sum over distinct endpoints.
-	var globalWire uint64
+	// Every endpoint's Stats is its egress, the sum of its PlaceStats
+	// (zero for the places it does not send from), so the endpoints'
+	// Stats also re-sum to the per-place total.
+	var global x10rt.Stats
 	for _, ep := range endpoints(m) {
-		globalWire += ep.Stats().WireBytes
+		var own x10rt.Stats
+		for p := 0; p < places; p++ {
+			own = own.Add(ep.PlaceStats(p))
+		}
+		if st := ep.Stats(); st != own {
+			t.Errorf("%T: Stats %v != Σ PlaceStats %v", ep, st, own)
+		}
+		global = global.Add(ep.Stats())
 	}
-	if sum.WireBytes != globalWire {
-		t.Errorf("wire-byte parity: Σ per-place WireBytes = %d, global Stats().WireBytes = %d",
-			sum.WireBytes, globalWire)
+	if global != sum {
+		t.Errorf("Σ endpoint Stats %v != Σ per-place egress %v", global, sum)
 	}
 	if err := m.Close(); err != nil {
 		t.Errorf("Close: %v", err)
+	}
+}
+
+// meshLinks assembles the mesh's link table from each place's own
+// endpoint, the one that counts what that place sends.
+func meshLinks(m *Mesh) x10rt.Links {
+	l := m.Endpoint(0).Links()
+	for p := 1; p < m.Places; p++ {
+		copy(l.Cells[p*m.Places:(p+1)*m.Places], m.Endpoint(p).Links().Cells[p*m.Places:])
+	}
+	return l
+}
+
+// testLinkAccounting checks the link table behind Links, merged over
+// the mesh's endpoints: exact per-(src, dst, class) counts and the
+// fan-in and degree views; every message of a coalesced batch counted;
+// nothing counted for telemetry traffic or for failed sends (bad place,
+// dead place, closed).
+func testLinkAccounting(t *testing.T, factory Factory) {
+	const places, burst = 4, 20
+	m, at := oneSidedMesh(t, factory, places)
+	u64Arena(at, 0, 1, make([]uint64, 4))
+	var got atomic.Int64
+	count := func(src, dst int, payload any) { got.Add(1) }
+	if err := errors.Join(m.Register(handlerID, count), m.Register(x10rt.HandlerTelemetry, count)); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	// Control fan-in at place 0 from places 1 (three messages) and 2,
+	// beside a self-send, a data message and other links; the burst on
+	// 1 -> 2 is what a batching stack coalesces.
+	type link struct {
+		src, dst int
+		class    x10rt.Class
+	}
+	ctl, data := x10rt.ControlClass, x10rt.DataClass
+	want := map[link]uint64{
+		{1, 0, ctl}: 3, {2, 0, ctl}: 1, {3, 2, ctl}: 1, {0, 0, ctl}: 1, {3, 0, data}: 1, {1, 2, ctl}: burst,
+	}
+	var sent int64
+	for l, n := range want {
+		for i := 0; i < int(n); i++ {
+			if err := m.Endpoint(l.src).Send(l.src, l.dst, handlerID, Payload{Seq: i}, 8, l.class); err != nil {
+				t.Fatalf("Send %d->%d: %v", l.src, l.dst, err)
+			}
+		}
+		if err := m.Endpoint(l.src).Send(l.src, l.dst, x10rt.HandlerTelemetry, Payload{}, 999, ctl); err != nil {
+			t.Fatalf("Send telemetry: %v", err)
+		}
+		sent += int64(n) + 1
+	}
+	// A serializing endpoint takes a coalesced batch in one frame.
+	if bs, ok := m.Endpoint(2).(x10rt.BatchSender); ok {
+		msg := func(c x10rt.Class) x10rt.BatchMsg {
+			return x10rt.BatchMsg{ID: handlerID, Payload: Payload{}, Bytes: 8, Class: c}
+		}
+		if err := bs.SendBatch(2, 3, []x10rt.BatchMsg{msg(ctl), msg(data), msg(ctl)}, 0); err != nil {
+			t.Fatalf("SendBatch: %v", err)
+		}
+		want[link{2, 3, ctl}] += 2
+		want[link{2, 3, data}]++
+		sent += 3
+	}
+	op := func() *x10rt.OneSidedOp {
+		return &x10rt.OneSidedOp{Kind: x10rt.OneSidedAdd, Arena: 1, Val: 1, Bytes: 8}
+	}
+	if err := m.Endpoint(3).SendOneSided(3, 0, op()); err != nil {
+		t.Fatalf("SendOneSided: %v", err)
+	}
+	want[link{3, 0, data}]++
+	flushAll(m)
+	await(t, "all deliveries", func() bool { flushAll(m); return got.Load() == sent })
+
+	links := meshLinks(m)
+	for src := 0; src < places; src++ {
+		for dst := 0; dst < places; dst++ {
+			for c := x10rt.DataClass; c <= x10rt.CollectiveClass; c++ {
+				w, s := want[link{src, dst, c}], links.Link(src, dst)
+				if s.Messages[c] != w || s.Bytes[c] != 8*w {
+					t.Errorf("link %d->%d %v: %d msgs / %d bytes, want %d / %d", src, dst, c, s.Messages[c], s.Bytes[c], w, 8*w)
+				}
+			}
+		}
+	}
+	ctlSrcs, ctlMsgs := links.FanIn(0, ctl)
+	dataSrcs, dataMsgs := links.FanIn(0, data)
+	views := [6]int{ctlSrcs, int(ctlMsgs), dataSrcs, int(dataMsgs), links.MaxInDegree(ctl), links.MaxOutDegree(ctl)}
+	if views != [6]int{2, 4, 1, 2, 2, 2} {
+		t.Errorf("FanIn(0) control sources/msgs, data sources/msgs, control MaxInDegree, MaxOutDegree = %v, want [2 4 1 2 2 2]", views)
+	}
+
+	ep0 := m.Endpoint(0)
+	if ep0.Send(0, places, handlerID, Payload{}, 8, ctl) == nil {
+		t.Error("Send to a bad place succeeded")
+	}
+	killAll(t, m, 3)
+	if ep0.Send(0, 3, handlerID, Payload{}, 8, ctl) == nil || ep0.SendOneSided(0, 3, op()) == nil ||
+		m.Endpoint(3).Send(3, 0, handlerID, Payload{}, 8, ctl) == nil {
+		t.Error("a send touching a dead place succeeded")
+	}
+	if err := m.Close(); err != nil {
+		t.Logf("Close: %v", err)
+	}
+	if ep0.Send(0, 1, handlerID, Payload{}, 8, ctl) == nil {
+		t.Error("Send after Close succeeded")
+	}
+	if after := meshLinks(m); !slices.Equal(after.Cells, links.Cells) {
+		t.Error("failed sends were counted")
 	}
 }
 

@@ -2,6 +2,8 @@ package x10rt
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,23 +39,28 @@ func wireNow() int64 { return int64(time.Since(wireEpoch)) }
 // Attribution rules, chosen so the ledger stays sum-equal with the
 // transport counters it refines:
 //
-//   - Sends are attributed to the sending place at the moment the
-//     inner (wire-touching) transport accepts the message — exactly
-//     beside the counters.add calls — so Σ per-handler payload bytes
-//     equals Σ x10rt.bytes.<class> and Σ per-link wire bytes equals
-//     x10rt.bytes.wire, by construction.
-//   - Wire bytes, queue wait, and compression are per-link: a batch
-//     frame carries many handlers but hits the wire once.
-//   - Decode time is attributed to the receiving place (ingress), in
-//     fields kept out of the egress sum-equality.
+//   - A link row's msgs, bytes and wire are not kept here: they read the
+//     link table of the transport the ledger is attached to (see
+//     PlaceMetricSource), so Σ per-link wire bytes equals
+//     x10rt.bytes.wire by construction. They count from the transport's
+//     creation, not from the attach; every caller attaches before any
+//     traffic.
+//   - Sends are attributed to their handler at the sending place at the
+//     moment the wire-touching transport accepts the message, beside
+//     its one link-table update, so Σ per-handler payload bytes equals
+//     Σ x10rt.bytes.<class>.
+//   - Queue wait and compression are per-link: a batch frame carries
+//     many handlers but hits the wire once.
+//   - Receives and decode time are attributed to the receiving place
+//     (ingress), in fields kept out of the egress sum-equality.
 //   - Telemetry traffic (HandlerTelemetry) is never recorded, matching
 //     countable().
 
 // LedgerSink is the wire-ledger part of the Transport contract: an
-// attached ledger receives the transport's traffic attribution.
-// Decorators (counting, chaos) pass the attachment through to the layer
-// that actually touches the wire; the BatchingTransport additionally
-// records its own queue wait.
+// attached ledger receives the transport's traffic attribution and
+// reads its link table. Decorators (chaos) pass the attachment through
+// to the layer that actually touches the wire; the BatchingTransport
+// additionally records its own queue wait.
 type LedgerSink interface {
 	AttachWireLedger(lg *WireLedger)
 }
@@ -82,9 +89,7 @@ type handlerAccount struct {
 
 // linkAccount accumulates one (src → dst) cell.
 type linkAccount struct {
-	msgs    obs.Counter // messages sent on the link
-	bytes   obs.Counter // modeled payload bytes sent on the link
-	wire    obs.Counter // post-batch, post-compression frame bytes
+	cell    *linkCell   // the sender's link-table cell; nil if none attached
 	raw     obs.Counter // encoded batch bodies before compression
 	comp    obs.Counter // the same bodies as shipped (== raw when not compressed)
 	qwaitNs obs.Counter // batch queue wait (oldest message, per flush)
@@ -97,11 +102,12 @@ type linkAccount struct {
 // recording takes no locks after an account exists.
 type WireLedger struct {
 	places int
-	reg    func(p int) *obs.Registry // per-place registry provider, may be nil
+	reg    func(p int) *obs.Registry // per-place registry provider (nil registry: none)
 
 	handlers atomic.Pointer[map[hkey]*handlerAccount]
 	links    atomic.Pointer[map[lkey]*linkAccount]
-	mu       sync.Mutex // serializes account creation (copy-on-write)
+	mu       sync.Mutex   // serializes account creation (copy-on-write)
+	tables   []*linkTable // attached transports' link tables, guarded by mu
 }
 
 // NewWireLedger creates a ledger for a mesh of places. reg, when
@@ -111,7 +117,26 @@ type WireLedger struct {
 // qwait_ns,batches} — unqualified, like all per-place metrics, so the
 // telemetry plane merges them by name across places.
 func NewWireLedger(places int, reg func(p int) *obs.Registry) *WireLedger {
-	return &WireLedger{places: places, reg: reg}
+	if reg == nil {
+		reg = func(int) *obs.Registry { return nil }
+	}
+	lg := &WireLedger{places: places, reg: reg}
+	lg.handlers.Store(&map[hkey]*handlerAccount{})
+	lg.links.Store(&map[lkey]*linkAccount{})
+	return lg
+}
+
+// attachTable lets the ledger's link rows read t. Attaching a table
+// twice is a no-op.
+func (lg *WireLedger) attachTable(t *linkTable) {
+	if lg == nil {
+		return
+	}
+	lg.mu.Lock()
+	if !slices.Contains(lg.tables, t) {
+		lg.tables = append(lg.tables, t)
+	}
+	lg.mu.Unlock()
 }
 
 // NumPlaces returns the mesh size the ledger was created for.
@@ -149,91 +174,64 @@ func HandlerName(id HandlerID) string {
 	return fmt.Sprintf("h%d", uint32(id))
 }
 
-// handler returns the (place, id) account, creating and registering it
-// on first touch.
-func (lg *WireLedger) handler(place int, id HandlerID) *handlerAccount {
-	k := hkey{place, id}
-	if m := lg.handlers.Load(); m != nil {
-		if a, ok := (*m)[k]; ok {
-			return a
-		}
+// account returns m's entry under k, creating it with open on first
+// touch. Creation copies the map under lg.mu; lookups read the current
+// copy without locking.
+func account[K comparable, V any](lg *WireLedger, m *atomic.Pointer[map[K]*V], k K, open func(*V)) *V {
+	if a, ok := (*m.Load())[k]; ok {
+		return a
 	}
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	old := lg.handlers.Load()
-	if old != nil {
-		if a, ok := (*old)[k]; ok {
-			return a
-		}
+	if a, ok := (*m.Load())[k]; ok {
+		return a
 	}
-	next := make(map[hkey]*handlerAccount, 8)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	a := &handlerAccount{}
+	next := maps.Clone(*m.Load())
+	a := new(V)
+	open(a)
 	next[k] = a
-	if lg.reg != nil {
-		if r := lg.reg(place); r != nil {
-			prefix := fmt.Sprintf("x10rt.h%d.", uint32(id))
-			r.RegisterCounter(prefix+"msgs", &a.msgs)
-			r.RegisterCounter(prefix+"bytes", &a.bytes)
-			r.RegisterCounter(prefix+"enc_ns", &a.encNs)
-			r.RegisterCounter(prefix+"recv", &a.recvMsgs)
-			r.RegisterCounter(prefix+"dec_ns", &a.decNs)
-		}
-	}
-	lg.handlers.Store(&next)
+	m.Store(&next)
 	return a
+}
+
+// handler returns the (place, id) account, creating and registering it
+// on first touch.
+func (lg *WireLedger) handler(place int, id HandlerID) *handlerAccount {
+	return account(lg, &lg.handlers, hkey{place, id}, func(a *handlerAccount) {
+		r, prefix := lg.reg(place), fmt.Sprintf("x10rt.h%d.", uint32(id))
+		r.RegisterCounter(prefix+"msgs", &a.msgs)
+		r.RegisterCounter(prefix+"bytes", &a.bytes)
+		r.RegisterCounter(prefix+"enc_ns", &a.encNs)
+		r.RegisterCounter(prefix+"recv", &a.recvMsgs)
+		r.RegisterCounter(prefix+"dec_ns", &a.decNs)
+	})
 }
 
 // link returns the (src, dst) account, creating and registering it on
 // first touch. Link counters live in the *sender's* place registry:
 // wire accounting is egress accounting, like PlaceStats.
 func (lg *WireLedger) link(src, dst int) *linkAccount {
-	k := lkey{src, dst}
-	if m := lg.links.Load(); m != nil {
-		if a, ok := (*m)[k]; ok {
-			return a
+	return account(lg, &lg.links, lkey{src, dst}, func(a *linkAccount) {
+		for _, t := range lg.tables {
+			if row := t.row(src); dst >= 0 && dst < len(row) {
+				a.cell = &row[dst]
+			}
 		}
-	}
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	old := lg.links.Load()
-	if old != nil {
-		if a, ok := (*old)[k]; ok {
-			return a
-		}
-	}
-	next := make(map[lkey]*linkAccount, 8)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	a := &linkAccount{}
-	next[k] = a
-	if lg.reg != nil {
-		if r := lg.reg(src); r != nil {
-			prefix := fmt.Sprintf("x10rt.link.%d-%d.", src, dst)
-			r.RegisterCounter(prefix+"msgs", &a.msgs)
-			r.RegisterCounter(prefix+"bytes", &a.bytes)
-			r.RegisterCounter(prefix+"wire", &a.wire)
-			r.RegisterCounter(prefix+"raw", &a.raw)
-			r.RegisterCounter(prefix+"comp", &a.comp)
-			r.RegisterCounter(prefix+"qwait_ns", &a.qwaitNs)
-			r.RegisterCounter(prefix+"batches", &a.batches)
-		}
-	}
-	lg.links.Store(&next)
-	return a
+		r, prefix := lg.reg(src), fmt.Sprintf("x10rt.link.%d-%d.", src, dst)
+		r.RegisterCounterFunc(prefix+"msgs", func() uint64 { return a.cell.stats().TotalMessages() })
+		r.RegisterCounterFunc(prefix+"bytes", func() uint64 { return a.cell.stats().TotalBytes() })
+		r.RegisterCounterFunc(prefix+"wire", func() uint64 { return a.cell.stats().WireBytes })
+		r.RegisterCounter(prefix+"raw", &a.raw)
+		r.RegisterCounter(prefix+"comp", &a.comp)
+		r.RegisterCounter(prefix+"qwait_ns", &a.qwaitNs)
+		r.RegisterCounter(prefix+"batches", &a.batches)
+	})
 }
 
-// RecordSend attributes one sent message: handler (msgs, payload
-// bytes) at the sending place and link (msgs, payload bytes). Called
-// exactly where the wire-touching transport updates its class
-// counters, so the ledger and x10rt.bytes.* stay sum-equal.
+// RecordSend attributes one sent message to its handler (msgs, payload
+// bytes) at the sending place, and opens the link's row. Called
+// exactly where the wire-touching transport updates its link table, so
+// the ledger and x10rt.bytes.* stay sum-equal.
 func (lg *WireLedger) RecordSend(src, dst int, id HandlerID, bytes int) {
 	if lg == nil || !countable(id) {
 		return
@@ -241,18 +239,7 @@ func (lg *WireLedger) RecordSend(src, dst int, id HandlerID, bytes int) {
 	h := lg.handler(src, id)
 	h.msgs.Inc()
 	h.bytes.Add(uint64(bytes))
-	l := lg.link(src, dst)
-	l.msgs.Inc()
-	l.bytes.Add(uint64(bytes))
-}
-
-// RecordWire attributes frame bytes actually written on the link,
-// post-batch and post-compression — beside every counters.addWire.
-func (lg *WireLedger) RecordWire(src, dst int, frameBytes int) {
-	if lg == nil {
-		return
-	}
-	lg.link(src, dst).wire.Add(uint64(frameBytes))
+	lg.link(src, dst)
 }
 
 // RecordEncode attributes ns of serialization work for one message to
@@ -363,34 +350,31 @@ func (lg *WireLedger) Snapshot() WireSnapshot {
 		return WireSnapshot{}
 	}
 	s := WireSnapshot{Places: lg.places}
-	if m := lg.handlers.Load(); m != nil {
-		for k, a := range *m {
-			s.Handlers = append(s.Handlers, WireHandlerStat{
-				Place:    k.place,
-				ID:       k.id,
-				Name:     HandlerName(k.id),
-				Msgs:     a.msgs.Value(),
-				Bytes:    a.bytes.Value(),
-				EncNs:    a.encNs.Value(),
-				RecvMsgs: a.recvMsgs.Value(),
-				DecNs:    a.decNs.Value(),
-			})
-		}
+	for k, a := range *lg.handlers.Load() {
+		s.Handlers = append(s.Handlers, WireHandlerStat{
+			Place:    k.place,
+			ID:       k.id,
+			Name:     HandlerName(k.id),
+			Msgs:     a.msgs.Value(),
+			Bytes:    a.bytes.Value(),
+			EncNs:    a.encNs.Value(),
+			RecvMsgs: a.recvMsgs.Value(),
+			DecNs:    a.decNs.Value(),
+		})
 	}
-	if m := lg.links.Load(); m != nil {
-		for k, a := range *m {
-			s.Links = append(s.Links, WireLinkStat{
-				Src:     k.src,
-				Dst:     k.dst,
-				Msgs:    a.msgs.Value(),
-				Bytes:   a.bytes.Value(),
-				Wire:    a.wire.Value(),
-				Raw:     a.raw.Value(),
-				Comp:    a.comp.Value(),
-				QwaitNs: a.qwaitNs.Value(),
-				Batches: a.batches.Value(),
-			})
-		}
+	for k, a := range *lg.links.Load() {
+		c := a.cell.stats()
+		s.Links = append(s.Links, WireLinkStat{
+			Src:     k.src,
+			Dst:     k.dst,
+			Msgs:    c.TotalMessages(),
+			Bytes:   c.TotalBytes(),
+			Wire:    c.WireBytes,
+			Raw:     a.raw.Value(),
+			Comp:    a.comp.Value(),
+			QwaitNs: a.qwaitNs.Value(),
+			Batches: a.batches.Value(),
+		})
 	}
 	sort.Slice(s.Handlers, func(i, j int) bool {
 		if s.Handlers[i].Place != s.Handlers[j].Place {

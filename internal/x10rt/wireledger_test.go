@@ -25,7 +25,6 @@ func waitCount(t *testing.T, want int, fn func() int) {
 func TestWireLedgerNilSafe(t *testing.T) {
 	var lg *WireLedger
 	lg.RecordSend(0, 1, UserHandlerBase, 10)
-	lg.RecordWire(0, 1, 10)
 	lg.RecordEncode(0, UserHandlerBase, 5)
 	lg.RecordRecv(1, UserHandlerBase, 5)
 	lg.RecordBatchBody(0, 1, 10, 8)
@@ -139,16 +138,10 @@ func TestWireLedgerTCPSumEquality(t *testing.T) {
 	}
 	waitCount(t, sent, func() int { mu.Lock(); defer mu.Unlock(); return got })
 
-	// TCP's global Stats count ingress too; the ledger is egress
-	// accounting, so the sum-equality reference is Σ PlaceStats.
+	// Each endpoint's Stats is its egress, so the mesh total is their sum.
 	var stats Stats
-	for p, tr := range mesh {
-		s := tr.PlaceStats(p)
-		for i := range stats.Bytes {
-			stats.Messages[i] += s.Messages[i]
-			stats.Bytes[i] += s.Bytes[i]
-		}
-		stats.WireBytes += s.WireBytes
+	for _, tr := range mesh {
+		stats = stats.Add(tr.Stats())
 	}
 	snap := lg.Snapshot()
 	if got, want := snap.TotalPayloadBytes(), stats.TotalBytes(); got != want {
@@ -244,14 +237,15 @@ func TestWireLedgerBatchingTCP(t *testing.T) {
 	}
 }
 
-// TestWireLedgerDecoratorForwarding checks AttachWireLedger pierces the
-// counting decorator and reaches the inner transport.
+// TestWireLedgerDecoratorForwarding checks AttachWireLedger pierces a
+// decorator and reaches the inner transport, whose link table the
+// ledger's link rows then read.
 func TestWireLedgerDecoratorForwarding(t *testing.T) {
 	inner, err := NewChanTransport(ChanOptions{Places: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewCountingTransport(inner)
+	tr := NewBatchingTransport(inner, BatchOptions{})
 	defer tr.Close()
 	lg := NewWireLedger(2, nil)
 	tr.AttachWireLedger(lg)
@@ -259,9 +253,9 @@ func TestWireLedgerDecoratorForwarding(t *testing.T) {
 	if err := tr.Send(0, 1, UserHandlerBase, nil, 7, DataClass); err != nil {
 		t.Fatal(err)
 	}
-	inner.Quiesce()
+	tr.Quiesce()
 	snap := lg.Snapshot()
-	if snap.TotalPayloadBytes() != 7 || snap.TotalWireBytes() != 7 {
+	if snap.TotalPayloadBytes() != 7 || snap.TotalWireBytes() != 7 || len(snap.Links) != 1 || snap.Links[0].Msgs != 1 {
 		t.Errorf("ledger not attached through decorator: %+v", snap)
 	}
 }
